@@ -5,7 +5,8 @@ Exit codes: 0 = success / all checks verified, 1 = a mathematical check
 failed, 2 = usage error.  Rationals are always rendered exactly as
 "num/den" (integers without the "/1"), so exactness survives the text
 boundary.  The default output format can be set with the
-RAMANUJAN_POPUC_FORMAT environment variable.
+RAMANUJAN_POPUC_FORMAT environment variable; any value other than
+table, json or csv is a usage error.
 """
 
 from __future__ import annotations
@@ -41,9 +42,17 @@ USAGE_ERRORS = (
 FORMATS = ("table", "json", "csv")
 
 
-def _default_format() -> str:
+def _default_format(parser: argparse.ArgumentParser) -> str:
+    """RAMANUJAN_POPUC_FORMAT, or table when unset; any other value is a
+    usage error (exit 2)."""
     fmt = os.environ.get("RAMANUJAN_POPUC_FORMAT", "table")
-    return fmt if fmt in FORMATS else "table"
+    if fmt not in FORMATS:
+        parser.exit(
+            2,
+            f"{parser.prog}: error: RAMANUJAN_POPUC_FORMAT={fmt!r} is not a format; "
+            f"choose from {', '.join(FORMATS)}\n",
+        )
+    return fmt
 
 
 def _parse_kronecker(text: str) -> KroneckerSpec:
@@ -309,12 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    default_format = _default_format(parser)
 
     def add_format(p):
         p.add_argument(
             "--format",
             choices=FORMATS,
-            default=_default_format(),
+            default=default_format,
             help="output format (default from RAMANUJAN_POPUC_FORMAT, else table)",
         )
 

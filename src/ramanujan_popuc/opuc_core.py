@@ -12,6 +12,13 @@ conjugation is the identity).  A finite para-orthogonal family is a
 ladder whose reflection coefficients satisfy |a_k| < 1 for k < N and
 |a_N| = 1; the terminal polynomial then has simple roots on the unit
 circle carrying a discrete orthogonality measure.
+
+Public values (moments, coefficients, determinants, inner products) are
+always ``Fraction`` or ``Poly``.  The quadratic and cubic inner loops
+(Toeplitz minors, the annihilation check, the Gram matrix, Newton's
+identities) instead run on Python integers over one common denominator
+per moment vector or polynomial (see ``_scaled``), the fraction-free idea
+of Bareiss (1968): no gcd is taken until a result leaves the loop.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     InsufficientMomentsError,
@@ -31,6 +39,14 @@ from .errors import (
 )
 from .number_theory import euler_totient, ramanujan_table
 from .polynomials import KroneckerSpec, Poly
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """(ints, D) with values[i] == ints[i] / D exactly, D > 0 the least
+    common denominator of the values (1 for no values)."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @dataclass(frozen=True)
@@ -100,24 +116,28 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
     sigma_n = (sum of n-th powers of the roots) / degree.  This never
     touches the roots themselves, which makes it an oracle independent
     of the Ramanujan-sum route.
+
+    Newton runs in integers on q(z) = E^d * p(z / E), E the common
+    denominator of p's coefficients: q is monic with integer coefficients
+    and its roots are E times those of p, so its power sums are E^k * p_k.
     """
     if not charpoly.is_monic:
         raise InvalidCharacteristicError("power sums need a monic polynomial")
     if charpoly[0] == 0:
         raise InvalidCharacteristicError("roots must be nonzero (constant term is 0)")
     d = charpoly.degree
-    # e[i] = i-th elementary symmetric function of the roots
-    e = [(-1) ** i * charpoly[d - i] for i in range(d + 1)]
-    p = [Fraction(d)]
+    ints, scale = _scaled(charpoly.coeffs)
+    q = [c * scale ** (d - 1 - i) for i, c in enumerate(ints[:d])]
+    # Newton for the power sums P_k of q: P_k = -(q_{d-1} P_{k-1} + ... +
+    # q_{d-r} P_{k-r}) - k q_{d-k}, r = min(k - 1, d), the last term only
+    # for k <= d
+    power = [d]
     for k in range(1, length + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k, d) + 1):
-            if i == k:
-                acc += (-1) ** (k - 1) * k * e[k]
-            else:
-                acc += (-1) ** (i - 1) * e[i] * p[k - i]
-        p.append(acc)
-    sigma = tuple(s / d for s in p)
+        acc = sum(q[d - i] * power[k - i] for i in range(1, min(k - 1, d) + 1))
+        if k <= d:
+            acc += k * q[d - k]
+        power.append(-acc)
+    sigma = tuple(Fraction(s, d * scale**k) for k, s in enumerate(power))
     return MomentSequence(sigma=sigma, provenance="power-sums")
 
 
@@ -133,10 +153,15 @@ def _scaled_toeplitz(m: MomentSequence, n: int) -> tuple[list[list[int]], int]:
         raise InsufficientMomentsError(
             f"Toeplitz determinant of size {n} needs moments up to sigma_{n - 1}"
         )
-    vals = [m.at(k) for k in range(n)]
-    scale = lcm(*(v.denominator for v in vals)) if vals else 1
-    ints = [int(v * scale) for v in vals]
+    ints, scale = _scaled(m.at(k) for k in range(n))
     return [[ints[abs(j - i)] for j in range(n)] for i in range(n)], scale
+
+
+def _scaled_moments(m: MomentSequence, count: int) -> tuple[list[int], int]:
+    """(S, D) with S[count - 1 + t] == D * sigma_t for -count < t < count,
+    D the common denominator of sigma_0..sigma_{count-1}."""
+    ints, scale = _scaled(m.at(k) for k in range(count))
+    return ints[:0:-1] + ints, scale
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -182,21 +207,28 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     single O(n^3) sweep yields the whole sequence.  Raises
     SingularMomentError as soon as a minor fails to be positive, which is
     also the point where the swap-free elimination could not continue.
+
+    Only the upper triangle is updated.  After step k, entry (i, j) with
+    i, j > k is the bordered minor on rows 0..k, i and columns 0..k, j
+    (Sylvester's identity), and for the symmetric Toeplitz matrix that
+    minor equals its transpose, entry (j, i).  So the stale lower entry
+    (i, k) can be read as (k, i), and every pivot, hence every minor, is
+    the one the full update produces.
     """
     rows, scale = _scaled_toeplitz(m, n)
     minors: list[Fraction] = []
     prev = 1
     for k in range(n):
-        pivot = rows[k][k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
         minors.append(Fraction(pivot, scale ** (k + 1)))
         if pivot <= 0:
             raise SingularMomentError(
                 f"Delta_{k + 1} = {minors[-1]} is not positive ({m.provenance})"
             )
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
+            row, below = rows[i], pivot_row[i]
+            row[i:] = [(x * pivot - below * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
         prev = pivot
     return minors
 
@@ -218,14 +250,13 @@ def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
             f"inner product of degrees {f.degree}, {g.degree} needs moments up "
             f"to index {max(f.degree, g.degree)}"
         )
-    acc = Fraction(0)
-    for j, fj in enumerate(f.coeffs):
-        if not fj:
-            continue
-        for k, gk in enumerate(g.coeffs):
-            if gk:
-                acc += fj * gk * m.at(j - k)
-    return acc
+    deg = max(f.degree, g.degree)
+    fs, f_scale = _scaled(f.coeffs)
+    gs, g_scale = _scaled(g.coeffs)
+    sym, scale = _scaled_moments(m, deg + 1)
+    # sym[deg + j - k] = D * sigma_{j-k} for k = 0, 1, ...
+    acc = sum(fj * sum(map(mul, gs, sym[deg + j :: -1])) for j, fj in enumerate(fs) if fj)
+    return Fraction(acc, f_scale * g_scale * scale)
 
 
 def szego_step(phi: Poly, a: Fraction) -> Poly:
@@ -378,14 +409,25 @@ class PopucSystem:
 def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     """Every rung must kill z^j for j below its degree; this is the moment
     characterization of the ladder and holds for the terminal rung too
-    (it vanishes on the support)."""
-    for n in range(1, len(phis)):
-        phi = phis[n]
+    (it vanishes on the support).
+
+    The sums run in integers: with sigma_t = S_t / D and Phi_n = C / E
+    over common denominators, D * E * <Phi_n, z^j> = sum_k C_k S_{k-j}.
+    Multiplying by the positive integer D * E does not change whether the
+    sum is zero, so exactly the ladders the rational sums reject are
+    rejected, and the message reports the same value Fraction(sum, D * E).
+    """
+    count = len(phis)
+    sym, scale = _scaled_moments(m, count)
+    for n in range(1, count):
+        coeffs, rung_scale = _scaled(phis[n].coeffs)
         for j in range(n):
-            val = sum(c * m.at(k - j) for k, c in enumerate(phi.coeffs) if c)
-            if val != 0:
+            start = count - 1 - j  # sym[start + k] = D * sigma_{k-j}
+            val = sum(map(mul, coeffs, sym[start : start + len(coeffs)]))
+            if val:
                 raise InternalInconsistencyError(
-                    f"<Phi_{n}, z^{j}> = {val} != 0 ({m.provenance})"
+                    f"<Phi_{n}, z^{j}> = {Fraction(val, scale * rung_scale)} != 0 "
+                    f"({m.provenance})"
                 )
 
 
@@ -401,12 +443,10 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     delta_n = toeplitz_det(m, n)
     if delta_n == 0:
         raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
-    vals = {k: m.at(k) for k in range(-n, n + 1)}
-    scale = lcm(*(v.denominator for v in vals.values()))
-    ints = {k: int(v * scale) for k, v in vals.items()}
+    ints, scale = _scaled(m.at(k) for k in range(n + 1))
     coeffs = []
     for j in range(n + 1):
-        rows = [[ints[c - i] for c in range(n + 1) if c != j] for i in range(n)]
+        rows = [[ints[abs(c - i)] for c in range(n + 1) if c != j] for i in range(n)]
         minor = Fraction(_bareiss_det(rows), scale**n)
         coeffs.append((-1) ** (n + j) * minor / delta_n)
     return Poly(coeffs)
@@ -509,17 +549,17 @@ def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:
 
 def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
     """All pairwise inner products <p_i, p_j>, computed as P * S * P^T so
-    the cost stays cubic in the ladder size."""
+    the cost stays cubic in the ladder size.  The product runs in integers
+    with each row over its own denominator E_i and the moments over D;
+    entry (i, j) is the integer result divided by D * E_i * E_j."""
     deg = max((p.degree for p in polys), default=0)
     if deg > m.max_index:
         raise InsufficientMomentsError("Gram matrix needs moments up to the max degree")
-    rows = [[p[k] for k in range(deg + 1)] for p in polys]
-    # mid[i][k] = sum_j p_i[j] * sigma_{j-k}
-    mid = [
-        [sum(r[j] * m.at(j - k) for j in range(deg + 1) if r[j]) for k in range(deg + 1)]
-        for r in rows
-    ]
+    sym, scale = _scaled_moments(m, deg + 1)
+    rows = [_scaled(p.coeffs) for p in polys]
+    # mid[i][k] = D * E_i * sum_j p_i[j] * sigma_{j-k}, as sym[deg - k + j] = D * sigma_{j-k}
+    mid = [[sum(map(mul, r, sym[deg - k :])) for k in range(deg + 1)] for r, _ in rows]
     return [
-        [sum(mid[i][k] * rows[j][k] for k in range(deg + 1)) for j in range(len(polys))]
-        for i in range(len(polys))
+        [Fraction(sum(map(mul, mid_i, r)), scale * e_i * e) for r, e in rows]
+        for mid_i, (_, e_i) in zip(mid, rows)
     ]

@@ -188,9 +188,20 @@ def test_format_env_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sums", "--m", "5", "--n-max", "1")
     assert code == 0
     assert json.loads(out)["values"] == [4, -1]
-    monkeypatch.setenv("RAMANUJAN_POPUC_FORMAT", "bogus")
+    monkeypatch.delenv("RAMANUJAN_POPUC_FORMAT")
     code, out, _ = run_cli(capsys, "sums", "--m", "5", "--n-max", "1")
-    assert code == 0 and out.strip() == "4 -1"  # falls back to table
+    assert code == 0 and out.strip() == "4 -1"  # unset means table
+
+
+def test_format_env_invalid_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RAMANUJAN_POPUC_FORMAT", "bogus")
+    with pytest.raises(SystemExit) as e:
+        main(["sums", "--m", "5", "--n-max", "1"])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RAMANUJAN_POPUC_FORMAT='bogus'" in captured.err
+    assert "table, json, csv" in captured.err
 
 
 def test_module_entry_point_subprocess():

@@ -1,13 +1,16 @@
 """The moment-to-ladder engine: determinants, recurrence, orthogonality."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanujan_popuc.duality import build_dual_pair
 from ramanujan_popuc.errors import (
     InsufficientMomentsError,
+    InternalInconsistencyError,
     InvalidCharacteristicError,
     SingularMomentError,
     TerminalMassError,
@@ -18,6 +21,7 @@ from ramanujan_popuc.opuc_core import (
     MomentSequence,
     PopucSystem,
     VerblunskySequence,
+    _verify_annihilation,
     determinant_formula_poly,
     gram_matrix,
     inner_product,
@@ -65,6 +69,52 @@ def toeplitz_rows(m: MomentSequence, n: int):
     return [[m.at(j - i) for j in range(n)] for i in range(n)]
 
 
+def gram_reference(m: MomentSequence, polys):
+    """Independent Gram oracle: the plain Fraction double sum
+    sum_{j,k} p_j * q_k * sigma_{j-k} for every pair."""
+    return [
+        [
+            sum(
+                (a * b * m.at(j - k) for j, a in enumerate(p.coeffs) for k, b in enumerate(q.coeffs)),
+                F(0),
+            )
+            for q in polys
+        ]
+        for p in polys
+    ]
+
+
+def newton_reference(charpoly: Poly, length: int):
+    """Independent power-sum oracle: Newton's identities in Fractions on
+    the elementary symmetric functions, sigma_k = p_k / degree."""
+    d = charpoly.degree
+    e = [(-1) ** i * charpoly[d - i] for i in range(d + 1)]
+    p = [F(d)]
+    for k in range(1, length + 1):
+        acc = F(0)
+        for i in range(1, min(k, d) + 1):
+            if i == k:
+                acc += (-1) ** (k - 1) * k * e[k]
+            else:
+                acc += (-1) ** (i - 1) * e[i] * p[k - i]
+        p.append(acc)
+    return tuple(s / d for s in p)
+
+
+def first_annihilation_defect(m: MomentSequence, phi: Poly):
+    """(j, <phi, z^j>) for the first j below deg(phi) with a nonzero
+    inner product, summed in Fractions; None when phi annihilates all."""
+    for j in range(phi.degree):
+        val = sum(c * m.at(k - j) for k, c in enumerate(phi.coeffs))
+        if val != 0:
+            return j, val
+    return None
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+rational_polys = st.lists(rationals, max_size=6).map(Poly)
+
+
 # -- moment constructors -----------------------------------------------------
 
 
@@ -98,6 +148,17 @@ def test_moments_from_power_sums_examples():
         moments_from_power_sums(P(-1, -1, 0, 1, 1), 1).sigma
         == moments_from_kronecker(KroneckerSpec([1, 2, 3]), 1).sigma
     )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    coeffs=st.lists(rationals, max_size=6),
+    constant=rationals.filter(bool),
+    length=st.integers(min_value=0, max_value=12),
+)
+def test_power_sums_match_fraction_reference(coeffs, constant, length):
+    charpoly = Poly([constant, *coeffs, 1])  # monic, rational, nonzero roots
+    assert moments_from_power_sums(charpoly, length).sigma == newton_reference(charpoly, length)
 
 
 def test_moments_from_power_sums_rejects():
@@ -153,12 +214,30 @@ def test_toeplitz_against_gaussian_oracle():
 
 
 def test_leading_minors_match_single_determinants():
-    m = moments_from_cyclotomic(7)
-    minors = leading_toeplitz_minors(m, 6)
-    assert minors == [toeplitz_det(m, n) for n in range(1, 7)]
+    sturmian = build_dual_pair(KroneckerSpec([1, 2, 5])).sturmian
+    for m, n in (
+        (moments_from_cyclotomic(7), 6),
+        # multi-order: Bareiss pivots of about 160 bits
+        (moments_from_kronecker(KroneckerSpec([7, 11, 13, 17])), 44),
+        # Sturmian moments with non-trivial denominators
+        (sturmian.moments, sturmian.n_max + 1),
+    ):
+        minors = leading_toeplitz_minors(m, n)
+        assert minors == [toeplitz_det(m, k) for k in range(1, n + 1)]
     sing = MomentSequence(sigma=(F(1), F(1), F(1)))
     with pytest.raises(SingularMomentError):
         leading_toeplitz_minors(sing, 2)
+    # the first non-positive minor comes late: Delta_3 = 0 for the two-point
+    # measure, Delta_4 < 0 for (1, 0, 0, 2)
+    for m, first_bad in (
+        (moments_from_kronecker(KroneckerSpec([1, 2]), 3), 3),
+        (MomentSequence(sigma=(F(1), F(0), F(0), F(2))), 4),
+    ):
+        dets = [toeplitz_det(m, k) for k in range(1, first_bad + 1)]
+        assert all(d > 0 for d in dets[:-1]) and dets[-1] <= 0
+        message = f"Delta_{first_bad} = {dets[-1]} is not positive ({m.provenance})"
+        with pytest.raises(SingularMomentError, match=re.escape(message)):
+            leading_toeplitz_minors(m, first_bad)
 
 
 # -- inner product ------------------------------------------------------------
@@ -186,6 +265,22 @@ def test_gram_matrix_is_diag_h():
             for j in range(count):
                 assert g[i][j] == (system.h[i] if i == j else 0)
                 assert g[i][j] == inner_product(m, system.phis[i], system.phis[j])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    sigma_0=rationals.filter(lambda s: s > 0),
+    sigma=st.lists(rationals, min_size=5, max_size=5),
+    polys=st.lists(rational_polys, max_size=4),
+)
+def test_gram_and_inner_product_match_fraction_reference(sigma_0, sigma, polys):
+    m = MomentSequence(sigma=(sigma_0, *sigma))
+    polys = [*polys, Poly.zero()]
+    reference = gram_reference(m, polys)
+    assert gram_matrix(m, polys) == reference
+    for i, p in enumerate(polys):
+        for j, q in enumerate(polys):
+            assert inner_product(m, p, q) == reference[i][j]
 
 
 # -- recurrence steps ---------------------------------------------------------
@@ -285,6 +380,29 @@ def test_singular_extension_of_finite_measures():
         m = moments_from_kronecker(spec, n1 + 1)
         assert toeplitz_det(m, n1 + 1) == 0  # Delta_{N+2}
         assert all(toeplitz_det(m, k) > 0 for k in range(1, n1 + 1))
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [
+        (moments_from_cyclotomic(7), 6),
+        (moments_from_kronecker(KroneckerSpec([1, 2, 5])), 6),
+    ],
+    ids=["M=7", "orders=1,2,5"],
+)
+def test_annihilation_check_catches_every_perturbed_coefficient(m, count):
+    phis = list(popuc_from_moments(m, count).phis)
+    _verify_annihilation(m, phis)
+    for n in range(1, count + 1):
+        for k in range(n):  # every coefficient below the leading one
+            for delta in (F(1, 101), F(-7, 101)):
+                coeffs = list(phis[n].coeffs)
+                coeffs[k] += delta
+                tampered = [*phis[:n], Poly(coeffs), *phis[n + 1 :]]
+                j, val = first_annihilation_defect(m, tampered[n])
+                message = f"<Phi_{n}, z^{j}> = {val} != 0 ({m.provenance})"
+                with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+                    _verify_annihilation(m, tampered)
 
 
 def test_moments_from_ladder_inverts_construction():
