@@ -64,38 +64,6 @@ class FamilyId:
         return f"{self.kind.value}:{self.parameter}"
 
 
-def _norms_from_coeffs(a: list[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """h_0..h_N as running products of (1 - a_k^2), and the determinants
-    Delta_1..Delta_{N+1} as their cumulative products."""
-    h = [Fraction(1)]
-    for a_k in a[:-1]:
-        h.append(h[-1] * (1 - a_k * a_k))
-    delta = []
-    acc = Fraction(1)
-    for v in h:
-        acc *= v
-        delta.append(acc)
-    return tuple(h), tuple(delta)
-
-
-def _assemble(
-    family: FamilyId,
-    phis: list[Poly],
-    a: list[Fraction],
-    moments: MomentSequence,
-    delta: tuple[Fraction, ...] | None = None,
-) -> PopucSystem:
-    h, delta_products = _norms_from_coeffs(a)
-    return PopucSystem(
-        family=family.label,
-        moments=moments,
-        phis=tuple(phis),
-        verblunsky=VerblunskySequence(tuple(a)),
-        h=h,
-        delta=delta if delta is not None else delta_products,
-    )
-
-
 def cf_ramanujan_prime(p: int) -> PopucSystem:
     """Equal-mass family on the primitive p-th roots of unity, p an odd
     prime, entirely from closed formulas (no moment computation):
@@ -105,8 +73,8 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
         Delta_n = p^{n-1} (p - n) / (p - 1)^n,
         sigma_n = -1 / (p - 1)  for 1 <= n <= p - 1.
 
-    The determinants are taken from their closed form; consistency with
-    the product formula for h_n is re-derived at construction time.
+    The closed-form determinants are matched against the system's own
+    Delta_n, the products of the norms h_n.
     """
     family = FamilyId(FamilyKind.RAMANUJAN_PRIME, p)
     n_max = p - 2
@@ -120,7 +88,9 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
     )
     sigma = (Fraction(1),) + (Fraction(-1, p - 1),) * (p - 1)
     moments = MomentSequence(sigma=sigma, provenance=family.label)
-    return _assemble(family, phis, a, moments, delta=delta)
+    system = PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    system.check_delta(delta, "closed form")
+    return system
 
 
 def cf_ramanujan_2p(p: int) -> PopucSystem:
@@ -140,7 +110,7 @@ def cf_ramanujan_2p(p: int) -> PopucSystem:
         phis.append(szego_step(phis[-1], a_n))
     sigma = (Fraction(1),) + tuple(Fraction((-1) ** (n + 1), p - 1) for n in range(1, p))
     moments = MomentSequence(sigma=sigma, provenance=family.label)
-    return _assemble(family, phis, a, moments)
+    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_single_moment(n_max: int) -> PopucSystem:
@@ -161,7 +131,7 @@ def cf_single_moment(n_max: int) -> PopucSystem:
     a = [Fraction(-1, n + 2) for n in range(n_max)] + [Fraction(-1)]
     phis.append(szego_step(phis[-1], a[-1]))
     moments = moments_from_ladder(phis, provenance=family.label)
-    return _assemble(family, phis, a, moments)
+    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_sturmian_anti2p(p: int) -> PopucSystem:
@@ -195,7 +165,7 @@ def cf_sturmian_anti2p(p: int) -> PopucSystem:
         + [Fraction(1)]
     )
     moments = moments_from_ladder(phis, provenance=family.label)
-    return _assemble(family, phis, a, moments)
+    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_ramanujan_anti2p(p: int) -> PopucSystem:
@@ -233,4 +203,4 @@ def cf_ramanujan_anti2p(p: int) -> PopucSystem:
         for n in range(1, p + 2)
     ]
     moments = MomentSequence(sigma=tuple(sigma), provenance=family.label)
-    return _assemble(family, phis, a, moments)
+    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))

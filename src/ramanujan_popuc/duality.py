@@ -107,26 +107,21 @@ def sturmian_from_charpoly(
     ladder.reverse()
     coeffs.reverse()
 
-    moments = moments_from_ladder(ladder, provenance=family or "sturmian")
-    delta = leading_toeplitz_minors(moments, n1)
-    h = [Fraction(1)]
-    for a_k in coeffs[:-1]:
-        h.append(h[-1] * (1 - a_k * a_k))
+    system = PopucSystem(
+        family=family or "sturmian",
+        moments=moments_from_ladder(ladder, provenance=family or "sturmian"),
+        phis=tuple(ladder),
+        verblunsky=VerblunskySequence(tuple(coeffs)),
+    )
+    system.check_delta(leading_toeplitz_minors(system.moments, n1), "Toeplitz minors")
     if paranoid:
         for n in range(1, n1 + 1):
-            det_poly = determinant_formula_poly(moments, n)
+            det_poly = determinant_formula_poly(system.moments, n)
             if det_poly != ladder[n]:
                 raise InternalInconsistencyError(
                     f"rung {n}: descent gives {ladder[n]}, determinant formula {det_poly}"
                 )
-    return PopucSystem(
-        family=family or "sturmian",
-        moments=moments,
-        phis=tuple(ladder),
-        verblunsky=VerblunskySequence(tuple(coeffs)),
-        h=tuple(h),
-        delta=tuple(delta),
-    )
+    return system
 
 
 def ramanujan_from_charpoly(spec: KroneckerSpec, paranoid: bool = False) -> PopucSystem:
@@ -175,7 +170,7 @@ def build_dual_pair(spec: KroneckerSpec, paranoid: bool = False) -> DualPair:
     sequences, the derivative condition on the Sturmian side, and
     equality of the terminal norms h_N."""
     ram = ramanujan_from_charpoly(spec, paranoid=paranoid)
-    charpoly = kronecker_poly(spec)
+    charpoly = ram.terminal  # ramanujan_from_charpoly matched it to kronecker_poly(spec)
     stu = sturmian_from_charpoly(charpoly, family=f"sturmian:{spec.label}")
 
     checks = {}

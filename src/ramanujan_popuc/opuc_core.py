@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
@@ -331,44 +333,61 @@ class VerblunskySequence:
 class PopucSystem:
     """A complete finite para-orthogonal ladder.
 
-    Carries the monic polynomials Phi_0..Phi_{N+1}, the reflection
-    coefficients a_0..a_N, the squared norms h_0..h_N, the Toeplitz
-    determinants Delta_1..Delta_{N+1}, the generating moments, and a
-    provenance label.  Construction re-checks the cheap structural
-    invariants; orthogonality itself is enforced by the builders.
+    Stores the monic polynomials Phi_0..Phi_{N+1}, the reflection
+    coefficients a_0..a_N, the generating moments, and a provenance
+    label.  The squared norms h_0..h_N and the Toeplitz determinants
+    Delta_1..Delta_{N+1} are not stored: both derive from the reflection
+    coefficients alone (``h`` and ``delta``), and are positive because
+    every |a_k| < 1 below N.  Construction re-checks the cheap structural
+    invariants; orthogonality itself is enforced by the builders, and
+    ``from_json_dict`` rejects a payload whose rungs, moments, h or delta
+    disagree with its reflection coefficients.
     """
 
     family: str
     moments: MomentSequence
     phis: tuple[Poly, ...]
     verblunsky: VerblunskySequence
-    h: tuple[Fraction, ...]
-    delta: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n1 = self.verblunsky.n_max + 1  # N + 1
-        if len(self.phis) != n1 + 1:
+        if len(self.phis) != self.verblunsky.n_max + 2:
             raise InternalInconsistencyError("ladder length does not match coefficients")
-        if len(self.h) != n1 or len(self.delta) != n1:
-            raise InternalInconsistencyError("h/delta lengths do not match coefficients")
         for n, phi in enumerate(self.phis):
             if phi.degree != n or not phi.is_monic:
                 raise InternalInconsistencyError(f"rung {n} is not monic of degree {n}")
         if self.moments.at(0) != 1:
             raise InternalInconsistencyError("systems are normalized to sigma_0 = 1")
-        # h_n = Delta_{n+1} / Delta_n (Delta_0 = 1) and the running product
-        # of (1 - a_k^2) must agree term by term.
-        running = Fraction(1)
-        prev_delta = Fraction(1)
-        for n in range(n1):
-            if self.delta[n] <= 0:
-                raise SingularMomentError(f"Delta_{n + 1} = {self.delta[n]} is not positive")
-            if self.h[n] != self.delta[n] / prev_delta:
-                raise InternalInconsistencyError(f"h_{n} disagrees with Delta_{n + 1}/Delta_{n}")
-            if self.h[n] != running:
-                raise InternalInconsistencyError(f"h_{n} disagrees with prod(1 - a_k^2)")
-            running *= 1 - self.verblunsky[n] ** 2
-            prev_delta = self.delta[n]
+
+    @cached_property
+    def h(self) -> tuple[Fraction, ...]:
+        """h_0..h_N, h_n = (1 - a_0^2) ... (1 - a_{n-1}^2)."""
+        factors = (1 - a * a for a in self.verblunsky.a[:-1])
+        return tuple(accumulate(factors, mul, initial=Fraction(1)))
+
+    @cached_property
+    def delta(self) -> tuple[Fraction, ...]:
+        """Delta_1..Delta_{N+1}, Delta_{n+1} = h_0 ... h_n."""
+        return tuple(accumulate(self.h, mul))
+
+    def check_delta(self, delta, route: str) -> None:
+        """Match Delta_1..Delta_{N+1} found by another route (Toeplitz
+        minors, a closed form, a payload) against ``self.delta``; raise
+        InternalInconsistencyError naming the first Delta_k that differs.
+
+        With Delta_0 = 1, agreeing on every Delta_k is the same as agreeing
+        on every norm h_n = Delta_{n+1} / Delta_n, so a wrong h_n by either
+        route surfaces here as a wrong Delta_{n+1}."""
+        delta = tuple(delta)
+        if len(delta) != len(self.delta):
+            raise InternalInconsistencyError(
+                f"{len(delta)} determinants by {route}, but the ladder has "
+                f"{len(self.delta)} ({self.family})"
+            )
+        for k, (other, own) in enumerate(zip(delta, self.delta), 1):
+            if other != own:
+                raise InternalInconsistencyError(
+                    f"Delta_{k} = {other} by {route}, but {own} from the norms ({self.family})"
+                )
 
     @property
     def n_max(self) -> int:
@@ -393,7 +412,12 @@ class PopucSystem:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PopucSystem":
-        return PopucSystem(
+        """Load a ``to_json_dict`` payload.  Every field but ``family`` is
+        checked against ``verblunsky``: ``N`` is its last index, each rung
+        is z Phi_n - a_n Phi_n^* of the one below, the moments are the
+        ones the ladder implies, and ``h`` and ``delta`` are the derived
+        values.  A mismatch raises InternalInconsistencyError."""
+        system = PopucSystem(
             family=d["family"],
             moments=MomentSequence(
                 sigma=tuple(Fraction(s) for s in d["moments"]),
@@ -401,9 +425,28 @@ class PopucSystem:
             ),
             phis=tuple(Poly.from_json_list(p) for p in d["phis"]),
             verblunsky=VerblunskySequence(tuple(Fraction(s) for s in d["verblunsky"])),
-            h=tuple(Fraction(s) for s in d["h"]),
-            delta=tuple(Fraction(s) for s in d["delta"]),
         )
+        if d["N"] != system.n_max:
+            raise InternalInconsistencyError(
+                f"payload N = {d['N']} but a_0..a_N gives N = {system.n_max}"
+            )
+        for n, a_n in enumerate(system.verblunsky):
+            if szego_step(system.phis[n], a_n) != system.phis[n + 1]:
+                raise InternalInconsistencyError(
+                    f"payload Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
+                )
+        implied = list(moments_from_ladder(list(system.phis), system.family).sigma)
+        # Phi_{N+1} vanishes on the support, so <z^j Phi_{N+1}, 1> = 0 for
+        # j >= 1 as well: it fixes every moment past sigma_{N+1}.
+        terminal = system.terminal.coeffs[:-1]
+        for j in range(1, len(system.moments.sigma) - len(implied) + 1):
+            implied.append(-sum(c * s for c, s in zip(terminal, implied[j:])))
+        if tuple(implied) != system.moments.sigma:
+            raise InternalInconsistencyError("payload moments are not the ones the ladder implies")
+        if tuple(Fraction(s) for s in d["h"]) != system.h:
+            raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
+        system.check_delta((Fraction(s) for s in d["delta"]), "payload")
+        return system
 
 
 def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
@@ -464,9 +507,9 @@ def popuc_from_moments(
     a_n = <z Phi_n, 1> / h_n; each rung is then verified to annihilate
     z^0..z^{n-1} through the moment functional, and the Toeplitz minors
     are computed independently by fraction-free elimination and matched
-    against the running product formula for h_n.  With paranoid=True
-    every rung is additionally compared against the bordered-determinant
-    formula, coefficient by coefficient.
+    against the system's Delta_n, the products of the norms h_n.  With
+    paranoid=True every rung is additionally compared against the
+    bordered-determinant formula, coefficient by coefficient.
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 (the moments do not close into an
@@ -488,11 +531,11 @@ def popuc_from_moments(
 
     phis = [Poly.one()]
     a: list[Fraction] = []
-    h = [Fraction(1)]
+    h_n = Fraction(1)
     for n in range(n_terminal):
         phi = phis[n]
         num = sum(c * m.at(k + 1) for k, c in enumerate(phi.coeffs) if c)
-        a_n = num / h[n]
+        a_n = num / h_n
         if n < n_terminal - 1:
             if abs(a_n) >= 1:
                 raise SingularMomentError(
@@ -506,16 +549,15 @@ def popuc_from_moments(
             )
         a.append(a_n)
         phis.append(szego_step(phi, a_n))
-        h.append(h[n] * (1 - a_n * a_n))
+        h_n *= 1 - a_n * a_n
 
-    h = h[:n_terminal]  # h_0..h_N; h_{N+1} would be 0
-    for n in range(n_terminal):
-        ratio = minors[n] / (minors[n - 1] if n else Fraction(1))
-        if h[n] != ratio:
-            raise InternalInconsistencyError(
-                f"h_{n}: product route {h[n]} != determinant route {ratio}"
-            )
-
+    system = PopucSystem(
+        family=family or m.provenance,
+        moments=m,
+        phis=tuple(phis),
+        verblunsky=VerblunskySequence(tuple(a)),
+    )
+    system.check_delta(minors, "Toeplitz minors")
     _verify_annihilation(m, phis)
     if paranoid:
         for n in range(1, n_terminal + 1):
@@ -524,15 +566,7 @@ def popuc_from_moments(
                 raise InternalInconsistencyError(
                     f"rung {n}: recurrence gives {phis[n]}, determinant formula {det_poly}"
                 )
-
-    return PopucSystem(
-        family=family or m.provenance,
-        moments=m,
-        phis=tuple(phis),
-        verblunsky=VerblunskySequence(tuple(a)),
-        h=tuple(h),
-        delta=tuple(minors),
-    )
+    return system
 
 
 def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:

@@ -57,6 +57,17 @@ def test_popuc_ramanujan_m5(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["verblunsky"] == ["-1/4", "-1/3", "-1/2", "-1"]
+    # the full README payload: h and delta derive from verblunsky
+    assert payload["phis"] == [
+        ["1"],
+        ["1/4", "1"],
+        ["1/3", "1/3", "1"],
+        ["1/2", "1/2", "1/2", "1"],
+        ["1", "1", "1", "1", "1"],
+    ]
+    assert payload["h"] == ["1", "15/16", "5/6", "5/8"]
+    assert payload["delta"] == ["1", "15/16", "25/32", "125/256"]
+    assert payload["moments"] == ["1", "-1/4", "-1/4", "-1/4", "-1/4"]
     clone = PopucSystem.from_json_dict(payload)  # JSON round-trips
     assert clone.to_json_dict() == payload
 

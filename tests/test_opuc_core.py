@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramanujan_popuc.duality import build_dual_pair
+from ramanujan_popuc import duality, opuc_core
+from ramanujan_popuc.duality import build_dual_pair, sturmian_from_charpoly
 from ramanujan_popuc.errors import (
     InsufficientMomentsError,
     InternalInconsistencyError,
@@ -35,7 +36,13 @@ from ramanujan_popuc.opuc_core import (
     szego_step,
     toeplitz_det,
 )
-from ramanujan_popuc.polynomials import KroneckerSpec, Poly, cyclotomic, kronecker_poly
+from ramanujan_popuc.polynomials import (
+    KroneckerSpec,
+    Poly,
+    anti_cyclotomic,
+    cyclotomic,
+    kronecker_poly,
+)
 
 
 def P(*ascending):
@@ -405,6 +412,33 @@ def test_annihilation_check_catches_every_perturbed_coefficient(m, count):
                     _verify_annihilation(m, tampered)
 
 
+@pytest.mark.parametrize(
+    "namespace, build",
+    [
+        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
+        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10))),
+    ],
+    ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
+)
+def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build):
+    system = build()
+    for k in range(1, system.n_max + 2):
+
+        def bumped(m, n, k=k):
+            minors = leading_toeplitz_minors(m, n)
+            minors[k - 1] += F(1, 101)
+            return minors
+
+        monkeypatch.setattr(namespace, "leading_toeplitz_minors", bumped)
+        own = system.delta[k - 1]
+        message = (
+            f"Delta_{k} = {own + F(1, 101)} by Toeplitz minors, but {own} from the "
+            f"norms ({system.family})"
+        )
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            build()
+
+
 def test_moments_from_ladder_inverts_construction():
     m = moments_from_cyclotomic(7)
     system = popuc_from_moments(m, 6)
@@ -432,3 +466,30 @@ def test_popuc_system_json_round_trip():
     assert clone.h == system.h
     assert clone.delta == system.delta
     assert clone.moments.sigma == system.moments.sigma
+
+
+def test_from_json_dict_rejects_payloads_that_disagree_with_verblunsky():
+    payload = popuc_from_moments(moments_from_cyclotomic(7), 6).to_json_dict()
+    PopucSystem.from_json_dict(payload)
+
+    def edit(key, index, value):
+        return {**payload, key: [*payload[key][:index], value, *payload[key][index + 1 :]]}
+
+    for tampered, message in (
+        (edit("phis", 3, ["9", "0", "0", "1"]), "payload Phi_3 is not z Phi_2 - a_2 Phi_2^*"),
+        (edit("moments", 2, "5"), "payload moments are not the ones the ladder implies"),
+        (edit("h", 2, "1/2"), "payload h disagrees with prod(1 - a_k^2)"),
+        # the list index 2 holds Delta_3
+        (edit("delta", 2, "1/3"), "Delta_3 = 1/3 by payload"),
+        ({**payload, "delta": payload["delta"][:-1]}, "5 determinants by payload"),
+        ({**payload, "N": 4}, "payload N = 4 but a_0..a_N gives N = 5"),
+    ):
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            PopucSystem.from_json_dict(tampered)
+    # moments past sigma_{N+1} are fixed by the terminal rung: they load when
+    # they are the measure's, and are checked like the others
+    longer = popuc_from_moments(moments_from_cyclotomic(7, 13), 6).to_json_dict()
+    assert PopucSystem.from_json_dict(longer).to_json_dict() == longer
+    bad = {**longer, "moments": [*longer["moments"][:12], "1/2"]}
+    with pytest.raises(InternalInconsistencyError, match="payload moments"):
+        PopucSystem.from_json_dict(bad)
