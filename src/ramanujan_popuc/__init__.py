@@ -32,6 +32,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
+    InvalidPayloadError,
     NonPrimeError,
     NonzeroRemainderError,
     PopucError,

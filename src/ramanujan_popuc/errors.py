@@ -31,6 +31,11 @@ class NonzeroRemainderError(PopucError, ArithmeticError):
     """An exact polynomial division left a remainder."""
 
 
+class InvalidPayloadError(PopucError, ValueError):
+    """A JSON payload is malformed: a key is missing, a value has the
+    wrong type, or a number does not parse."""
+
+
 class InsufficientMomentsError(PopucError, ValueError):
     """A moment sequence is too short for the requested operation."""
 

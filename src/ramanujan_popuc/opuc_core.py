@@ -1,9 +1,11 @@
 """Moment sequences, Toeplitz determinants, and the recurrence ladder of
 monic polynomials orthogonal on the unit circle.
 
-Everything is exact: moments are rationals, determinants are computed by
-fraction-free Bareiss elimination on an integer-scaled matrix, and the
-ladder is built by a Levinson-style update of the fundamental recurrence
+Everything is exact: moments are rationals, single determinants are
+computed by fraction-free Bareiss elimination on an integer-scaled
+matrix, the leading Toeplitz minors Delta_1..Delta_n all at once by
+fraction-free Schur elimination in O(n^2) (Bareiss 1969), and the ladder
+is built by a Levinson-style update of the fundamental recurrence
 
     Phi_{n+1}(z) = z * Phi_n(z) - a_n * Phi_n^*(z),
 
@@ -35,6 +37,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
+    InvalidPayloadError,
     SingularMomentError,
     TerminalMassError,
     UnimodularConstantTermError,
@@ -148,14 +151,20 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_toeplitz(m: MomentSequence, n: int) -> tuple[list[list[int]], int]:
-    """n x n matrix with entry (i, j) = D * sigma_{j-i}, D the common
-    denominator of the moments involved."""
+def _scaled_prefix(m: MomentSequence, n: int) -> tuple[list[int], int]:
+    """(S, D) with S[t] == D * sigma_t for 0 <= t < n, D the common
+    denominator of those moments: the data of an n x n Toeplitz matrix."""
     if n - 1 > m.max_index:
         raise InsufficientMomentsError(
             f"Toeplitz determinant of size {n} needs moments up to sigma_{n - 1}"
         )
-    ints, scale = _scaled(m.at(k) for k in range(n))
+    return _scaled(m.at(k) for k in range(n))
+
+
+def _scaled_toeplitz(m: MomentSequence, n: int) -> tuple[list[list[int]], int]:
+    """n x n matrix with entry (i, j) = D * sigma_{j-i}, D the common
+    denominator of the moments involved."""
+    ints, scale = _scaled_prefix(m, n)
     return [[ints[abs(j - i)] for j in range(n)] for i in range(n)], scale
 
 
@@ -202,35 +211,59 @@ def toeplitz_det(m: MomentSequence, n: int) -> Fraction:
 
 
 def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
-    """[Delta_1, ..., Delta_n] in one fraction-free elimination pass.
+    """[Delta_1, ..., Delta_n] by fraction-free Schur elimination, O(n^2).
 
-    In Bareiss elimination without row swaps the pivot after step k - 1
-    equals the k-th leading principal minor of the integer matrix, so a
-    single O(n^3) sweep yields the whole sequence.  Raises
-    SingularMomentError as soon as a minor fails to be positive, which is
-    also the point where the swap-free elimination could not continue.
+    The recursion runs on the scaled moments S_t = D * sigma_t (D from
+    ``_scaled``), whose k-th leading minor is D^k * Delta_k; call it P_k,
+    with P_0 = 1.  For the monic orthogonal polynomial Phi_k of S and the
+    form <f, g> = sum f_i g_j S_{i-j}, it keeps two integer arrays
 
-    Only the upper triangle is updated.  After step k, entry (i, j) with
-    i, j > k is the bordered minor on rows 0..k, i and columns 0..k, j
-    (Sylvester's identity), and for the symmetric Toeplitz matrix that
-    minor equals its transpose, entry (j, i).  So the stale lower entry
-    (i, k) can be read as (k, i), and every pivot, hence every minor, is
-    the one the full update produces.
+        E_k(j) = P_k * <Phi_k, z^j>    for -(n-1-k) <= j <= -1,
+        F_k(j) = P_k * <Phi_k^*, z^j>  for -(n-1-k) <= j <= 0,
+
+    starting from E_0(j) = F_0(j) = S_{-j} (Phi_0 = 1).  The pivot F_k(0)
+    is P_k * h_k = P_{k+1}, the next minor.  With q = E_k(-1), the real
+    recurrence Phi_{k+1} = z Phi_k - a_k Phi_k^* and its reversal
+    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k, where a_k = q / P_{k+1}, give
+
+        E_{k+1}(j) = (P_{k+1} * E_k(j-1) - q * F_k(j)) / P_k,
+        F_{k+1}(j) = (P_{k+1} * F_k(j) - q * E_k(j-1)) / P_k,
+
+    O(n - k) operations per step.  Each division is exact: by Cramer's
+    rule P_{k+1} * Phi_{k+1} is the bordered determinant of the integer
+    matrix, so its coefficients (and those of its reversal) are integers,
+    and so are its inner products with the integer moments.  Nothing
+    else is divided, so no gcd is taken until a minor leaves as a
+    Fraction.  The recursion stops with SingularMomentError at the first
+    minor that is not positive (a zero one would be the next divisor).
+
+    The minors are independent of the Levinson loop in
+    ``popuc_from_moments``: this function reads the moment table and
+    nothing else.  It never forms a polynomial Phi_k, a coefficient a_k or
+    a norm h_k, and shares no code with ``szego_step`` or the Fraction
+    arithmetic there.  A wrong a_n, rung or norm on that side changes the
+    system's Delta (the products of the norms) but not these pivots, so
+    ``PopucSystem.check_delta`` still compares two routes.  Over the
+    acceptance master set the result equals general Bareiss elimination
+    (``toeplitz_det``), which the tests keep as the oracle.
     """
-    rows, scale = _scaled_toeplitz(m, n)
+    ints, scale = _scaled_prefix(m, n)
+    # f[i] = F_k(-i), e[i] = E_k(-1 - i)
+    f, e = ints, ints[1:]
     minors: list[Fraction] = []
     prev = 1
     for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
+        pivot = f[0]
         minors.append(Fraction(pivot, scale ** (k + 1)))
         if pivot <= 0:
             raise SingularMomentError(
                 f"Delta_{k + 1} = {minors[-1]} is not positive ({m.provenance})"
             )
-        for i in range(k + 1, n):
-            row, below = rows[i], pivot_row[i]
-            row[i:] = [(x * pivot - below * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
+        q = e[0] if e else 0
+        f, e = (
+            [(pivot * x - q * y) // prev for x, y in zip(f, e)],
+            [(pivot * y - q * x) // prev for x, y in zip(f[1:], e[1:])],
+        )
         prev = pivot
     return minors
 
@@ -416,37 +449,77 @@ class PopucSystem:
         checked against ``verblunsky``: ``N`` is its last index, each rung
         is z Phi_n - a_n Phi_n^* of the one below, the moments are the
         ones the ladder implies, and ``h`` and ``delta`` are the derived
-        values.  A mismatch raises InternalInconsistencyError."""
+        values.  A mismatch raises InternalInconsistencyError; a missing
+        key, a value of the wrong type or a number that does not parse
+        raises InvalidPayloadError."""
+        if not isinstance(d, dict):
+            raise InvalidPayloadError(f"payload is a {type(d).__name__}, not a JSON object")
+        try:
+            family, n_max, raw_phis = d["family"], d["N"], d["phis"]
+            values = {
+                key: _payload_rationals(d[key], key)
+                for key in ("moments", "verblunsky", "h", "delta")
+            }
+        except KeyError as exc:
+            raise InvalidPayloadError(f"payload has no key {exc}") from exc
+        if not isinstance(family, str):
+            raise InvalidPayloadError("payload family must be a string")
+        if type(n_max) is not int:
+            raise InvalidPayloadError("payload N must be an integer")
+        if not isinstance(raw_phis, list):
+            raise InvalidPayloadError("payload phis must be a list of coefficient lists")
         system = PopucSystem(
-            family=d["family"],
-            moments=MomentSequence(
-                sigma=tuple(Fraction(s) for s in d["moments"]),
-                provenance=d["family"],
-            ),
-            phis=tuple(Poly.from_json_list(p) for p in d["phis"]),
-            verblunsky=VerblunskySequence(tuple(Fraction(s) for s in d["verblunsky"])),
+            family=family,
+            moments=MomentSequence(sigma=values["moments"], provenance=family),
+            phis=tuple(Poly(_payload_rationals(p, f"phis[{n}]")) for n, p in enumerate(raw_phis)),
+            verblunsky=VerblunskySequence(values["verblunsky"]),
         )
-        if d["N"] != system.n_max:
+        if n_max != system.n_max:
             raise InternalInconsistencyError(
-                f"payload N = {d['N']} but a_0..a_N gives N = {system.n_max}"
+                f"payload N = {n_max} but a_0..a_N gives N = {system.n_max}"
             )
         for n, a_n in enumerate(system.verblunsky):
             if szego_step(system.phis[n], a_n) != system.phis[n + 1]:
                 raise InternalInconsistencyError(
                     f"payload Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
                 )
-        implied = list(moments_from_ladder(list(system.phis), system.family).sigma)
-        # Phi_{N+1} vanishes on the support, so <z^j Phi_{N+1}, 1> = 0 for
-        # j >= 1 as well: it fixes every moment past sigma_{N+1}.
-        terminal = system.terminal.coeffs[:-1]
-        for j in range(1, len(system.moments.sigma) - len(implied) + 1):
-            implied.append(-sum(c * s for c, s in zip(terminal, implied[j:])))
-        if tuple(implied) != system.moments.sigma:
-            raise InternalInconsistencyError("payload moments are not the ones the ladder implies")
-        if tuple(Fraction(s) for s in d["h"]) != system.h:
+        mismatch = "payload moments are not the ones the ladder implies"
+        implied = moments_from_ladder(list(system.phis), system.family).sigma
+        if system.moments.sigma[: len(implied)] != implied:
+            raise InternalInconsistencyError(mismatch)
+        try:
+            _check_moments_past_terminal(system.moments, system.terminal)
+        except TerminalMassError as exc:
+            raise InternalInconsistencyError(f"{mismatch}: {exc}") from exc
+        if values["h"] != system.h:
             raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
-        system.check_delta((Fraction(s) for s in d["delta"]), "payload")
+        system.check_delta(values["delta"], "payload")
         return system
+
+
+def _payload_rationals(items, key: str) -> tuple[Fraction, ...]:
+    """The exact rationals of a payload list of "num/den" strings."""
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise InvalidPayloadError(f"payload {key} must be a list of rational strings")
+    try:
+        return tuple(Fraction(s) for s in items)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidPayloadError(f"payload {key}: {exc}") from exc
+
+
+def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
+    """Phi_{N+1} vanishes on the support, so <z^j Phi_{N+1}, 1> = 0 for
+    every j >= 0: each moment past sigma_{N+1} is fixed by the ones below
+    it.  Raise TerminalMassError naming the first sigma_k that is not."""
+    d = terminal.degree
+    lower = terminal.coeffs[:-1]
+    for k in range(d + 1, m.max_index + 1):
+        implied = -sum(c * s for c, s in zip(lower, m.sigma[k - d :]))
+        if m.sigma[k] != implied:
+            raise TerminalMassError(
+                f"sigma_{k} = {m.sigma[k]}, but the terminal rung Phi_{d} implies "
+                f"{implied} ({m.provenance})"
+            )
 
 
 def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
@@ -506,13 +579,14 @@ def popuc_from_moments(
     The reflection coefficients come from a Levinson-style update
     a_n = <z Phi_n, 1> / h_n; each rung is then verified to annihilate
     z^0..z^{n-1} through the moment functional, and the Toeplitz minors
-    are computed independently by fraction-free elimination and matched
-    against the system's Delta_n, the products of the norms h_n.  With
-    paranoid=True every rung is additionally compared against the
+    are computed independently by fraction-free Schur elimination and
+    matched against the system's Delta_n, the products of the norms h_n.
+    With paranoid=True every rung is additionally compared against the
     bordered-determinant formula, coefficient by coefficient.
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
-    TerminalMassError when |a_N| != 1 (the moments do not close into an
+    TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
+    the one the terminal rung implies (the moments do not close into an
     (N+1)-point measure).
     """
     if n_plus_1 < 1:
@@ -526,7 +600,7 @@ def popuc_from_moments(
     if m.at(0) != 1:
         raise SingularMomentError("ladder construction expects sigma_0 = 1")
 
-    # Positivity of Delta_1..Delta_N+1 up front (one Bareiss sweep).
+    # Positivity of Delta_1..Delta_N+1 up front (one Schur sweep).
     minors = leading_toeplitz_minors(m, n_terminal)
 
     phis = [Poly.one()]
@@ -559,6 +633,7 @@ def popuc_from_moments(
     )
     system.check_delta(minors, "Toeplitz minors")
     _verify_annihilation(m, phis)
+    _check_moments_past_terminal(m, phis[-1])
     if paranoid:
         for n in range(1, n_terminal + 1):
             det_poly = determinant_formula_poly(m, n)

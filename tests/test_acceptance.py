@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -200,6 +201,38 @@ def test_criterion_6_orthogonality_suite(master_pairs):
                 running *= 1 - system.verblunsky[n] ** 2
                 prev = minors[n]
         box["detail"] = f", {len(systems)} systems"
+
+
+def cubic_minors(m, n):
+    """Reference for leading_toeplitz_minors: the O(n^3) swap-free Bareiss
+    sweep over the upper triangle of the integer-scaled Toeplitz matrix,
+    whose pivot after step k - 1 is the k-th leading minor."""
+    scale = lcm(*(m.at(k).denominator for k in range(n)))
+    ints = [int(m.at(k) * scale) for k in range(n)]
+    rows = [[ints[abs(j - i)] for j in range(n)] for i in range(n)]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        minors.append(F(pivot, scale ** (k + 1)))
+        assert pivot > 0
+        for i in range(k + 1, n):
+            row, below = rows[i], pivot_row[i]
+            row[i:] = [(x * pivot - below * y) // prev for x, y in zip(row[i:], pivot_row[i:])]
+        prev = pivot
+    return minors
+
+
+def test_leading_minors_match_general_elimination_over_master_set(master_pairs):
+    pairs, _ = master_pairs
+    for pair in pairs.values():
+        for system in (pair.ramanujan, pair.sturmian):
+            m, n = system.moments, system.n_max + 1
+            minors = leading_toeplitz_minors(m, n)
+            assert minors == cubic_minors(m, n)
+            for k in {1, n // 2, n} - {0}:
+                assert minors[k - 1] == toeplitz_det(m, k)
 
 
 def test_criterion_7_weight_verification(master_pairs):

@@ -13,6 +13,7 @@ from ramanujan_popuc.errors import (
     InsufficientMomentsError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
+    InvalidPayloadError,
     SingularMomentError,
     TerminalMassError,
     UnimodularConstantTermError,
@@ -245,6 +246,60 @@ def test_leading_minors_match_single_determinants():
         message = f"Delta_{first_bad} = {dets[-1]} is not positive ({m.provenance})"
         with pytest.raises(SingularMomentError, match=re.escape(message)):
             leading_toeplitz_minors(m, first_bad)
+
+
+def _moments_through_verblunsky(coeffs, breaker, scale):
+    """scale * the moments of the ladder built by szego_step from coeffs.
+    They are positive-definite while every |a_k| < 1; a breaker (i, v)
+    sets the coefficient i places from the end (cyclically) to v, where
+    |v| >= 1, so Delta_{k+2} <= 0 for that a_k."""
+    coeffs = list(coeffs)
+    if breaker:
+        back, value = breaker
+        coeffs[-1 - back % len(coeffs)] = value
+    phis = [P(1)]
+    for a in coeffs:
+        phis.append(szego_step(phis[-1], a))
+    sigma = moments_from_ladder(phis, "verblunsky").sigma
+    return MomentSequence(sigma=tuple(scale * s for s in sigma), provenance="verblunsky")
+
+
+interior = st.fractions(min_value=-1, max_value=1, max_denominator=9).filter(lambda a: abs(a) < 1)
+random_moments = st.one_of(
+    # arbitrary rationals: mostly indefinite after a few minors
+    st.builds(
+        lambda s0, rest: MomentSequence(sigma=(s0, *rest), provenance="random"),
+        st.fractions(min_value=F(1, 4), max_value=3, max_denominator=7),
+        st.lists(rationals, min_size=1, max_size=9),
+    ),
+    # positive-definite, or turned indefinite by one |a_k| >= 1 at a random k
+    st.builds(
+        _moments_through_verblunsky,
+        st.lists(interior, min_size=1, max_size=12),
+        st.none() | st.tuples(
+            st.integers(0, 11),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(
+                lambda a: abs(a) >= 1
+            ),
+        ),
+        st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_moments)
+def test_leading_minors_match_determinants_on_random_moments(m):
+    n = m.max_index + 1
+    dets = [toeplitz_det(m, k) for k in range(1, n + 1)]
+    first_bad = next((k for k, d in enumerate(dets, 1) if d <= 0), None)
+    if first_bad is None:
+        assert leading_toeplitz_minors(m, n) == dets
+        return
+    assert leading_toeplitz_minors(m, first_bad - 1) == dets[: first_bad - 1]
+    message = f"Delta_{first_bad} = {dets[first_bad - 1]} is not positive ({m.provenance})"
+    with pytest.raises(SingularMomentError, match=re.escape(message)):
+        leading_toeplitz_minors(m, n)
 
 
 # -- inner product ------------------------------------------------------------
@@ -493,3 +548,33 @@ def test_from_json_dict_rejects_payloads_that_disagree_with_verblunsky():
     bad = {**longer, "moments": [*longer["moments"][:12], "1/2"]}
     with pytest.raises(InternalInconsistencyError, match="payload moments"):
         PopucSystem.from_json_dict(bad)
+
+
+def test_popuc_rejects_moments_past_the_terminal_rung_it_does_not_imply():
+    m = moments_from_cyclotomic(5, 8)
+    system = popuc_from_moments(m, 4)
+    assert PopucSystem.from_json_dict(system.to_json_dict()).to_json_dict() == system.to_json_dict()
+    tampered = MomentSequence(sigma=(*m.sigma[:7], F(9), *m.sigma[8:]), provenance=m.provenance)
+    message = "sigma_7 = 9, but the terminal rung Phi_4 implies -1/4 (cyclotomic:5)"
+    with pytest.raises(TerminalMassError, match=re.escape(message)):
+        popuc_from_moments(tampered, 4)
+
+
+def test_from_json_dict_rejects_malformed_payloads():
+    payload = popuc_from_moments(moments_from_cyclotomic(5), 4).to_json_dict()
+    no_delta = {k: v for k, v in payload.items() if k != "delta"}
+    for malformed, message, cause in (
+        ({}, "payload has no key 'family'", KeyError),
+        (no_delta, "payload has no key 'delta'", KeyError),
+        ({**payload, "moments": ["1", "x"]}, "payload moments: Invalid literal", ValueError),
+        ({**payload, "h": ["1", "1/0"]}, "payload h: Fraction(1, 0)", ZeroDivisionError),
+        ({**payload, "phis": "notalist"}, "payload phis must be a list of coefficient", None),
+        ({**payload, "phis": [["1"], "1"]}, "payload phis[1] must be a list of rational", None),
+        ({**payload, "verblunsky": [-1]}, "payload verblunsky must be a list of rational", None),
+        ({**payload, "N": "3"}, "payload N must be an integer", None),
+        ([], "payload is a list, not a JSON object", None),
+    ):
+        with pytest.raises(InvalidPayloadError, match=re.escape(message)) as info:
+            PopucSystem.from_json_dict(malformed)
+        assert isinstance(info.value, ValueError)
+        assert type(info.value.__cause__) is (cause or type(None))
