@@ -1,6 +1,9 @@
 """Command-line surface: compute, verify, and export everything the
 library builds, in human, JSON, or CSV form.
 
+Every subcommand except verify prints through one emitter, ``_emit``,
+which builds only the form the chosen format needs.
+
 Exit codes: 0 = success / all checks verified, 1 = a mathematical check
 failed, 2 = usage error.  Rationals are always rendered exactly as
 "num/den" (integers without the "/1"), so exactness survives the text
@@ -12,12 +15,16 @@ table, json or csv is a usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import sys
 
 from .closed_forms import cf_ramanujan_2p, cf_ramanujan_anti2p, cf_ramanujan_prime
-from .duality import build_dual_pair, sturmian_from_charpoly, verify_weights
+from .duality import (
+    build_dual_pair, ramanujan_from_charpoly, sturmian_from_charpoly, verify_weights
+)
 from .errors import (
     DegreeBoundError,
     DuplicateOrderError,
@@ -73,12 +80,21 @@ def _spec_from_args(args) -> KroneckerSpec:
     return _parse_kronecker(args.kronecker)
 
 
-def _emit_csv(rows: list[dict], header: list[str]) -> None:
-    import csv
-
-    writer = csv.DictWriter(sys.stdout, fieldnames=header)
-    writer.writeheader()
-    writer.writerows(rows)
+def _emit(fmt: str, payload, rows, lines) -> None:
+    """Print one result in format fmt.  payload, rows and lines are
+    zero-argument callables giving the JSON object, the CSV rows (dicts)
+    and the table lines; only the one fmt needs is called.  The CSV header
+    is the keys of the first row: every subcommand emits at least one row
+    (c_M(0), Phi_0, and one per root or coefficient for N + 1 >= 1)."""
+    if fmt == "json":
+        print(json.dumps(payload()))
+    elif fmt == "csv":
+        records = rows()
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(records[0]))
+        writer.writeheader()
+        writer.writerows(records)
+    else:
+        print("\n".join(lines()))
 
 
 def _system_csv_rows(system) -> list[dict]:
@@ -99,15 +115,15 @@ def _system_csv_rows(system) -> list[dict]:
     return rows
 
 
-def _print_system_table(system) -> None:
-    print(f"family     : {system.family}")
-    print(f"N          : {system.n_max}")
-    print(f"verblunsky : {'  '.join(system.verblunsky.to_json_list())}")
-    print(f"h          : {'  '.join(str(v) for v in system.h)}")
-    print(f"delta      : {'  '.join(str(v) for v in system.delta)}")
-    print(f"moments    : {'  '.join(system.moments.to_json_list())}")
-    for n, phi in enumerate(system.phis):
-        print(f"Phi_{n:<3}    : {phi}")
+def _system_table(system) -> list[str]:
+    return [
+        f"family     : {system.family}",
+        f"N          : {system.n_max}",
+        f"verblunsky : {'  '.join(system.verblunsky.to_json_list())}",
+        f"h          : {'  '.join(str(v) for v in system.h)}",
+        f"delta      : {'  '.join(str(v) for v in system.delta)}",
+        f"moments    : {'  '.join(system.moments.to_json_list())}",
+    ] + [f"Phi_{n:<3}    : {phi}" for n, phi in enumerate(system.phis)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +137,12 @@ def cmd_sums(args) -> int:
     if args.n_max < 0:
         raise InvalidModulusError(f"--n-max must be >= 0, got {args.n_max}")
     table = ramanujan_table(args.m, args.n_max)
-    if args.format == "json":
-        print(json.dumps(table.to_json_dict()))
-    elif args.format == "csv":
-        _emit_csv(
-            [{"n": n, "value": v} for n, v in enumerate(table.values)],
-            ["n", "value"],
-        )
-    else:
-        print(" ".join(str(v) for v in table.values))
+    _emit(
+        args.format,
+        table.to_json_dict,
+        lambda: [{"n": n, "value": v} for n, v in enumerate(table.values)],
+        lambda: [" ".join(str(v) for v in table.values)],
+    )
     return 0
 
 
@@ -139,32 +152,32 @@ def _build_system(args):
         return sturmian_from_charpoly(
             kronecker_poly(spec), family=f"sturmian:{spec.label}", paranoid=args.paranoid
         )
-    from .duality import ramanujan_from_charpoly
-
     return ramanujan_from_charpoly(spec, paranoid=args.paranoid)
 
 
 def cmd_popuc(args) -> int:
     system = _build_system(args)
-    if args.format == "json":
-        print(json.dumps(system.to_json_dict()))
-    elif args.format == "csv":
-        _emit_csv(_system_csv_rows(system), ["series", "n", "k", "value"])
-    else:
-        _print_system_table(system)
+    _emit(
+        args.format,
+        system.to_json_dict,
+        lambda: _system_csv_rows(system),
+        lambda: _system_table(system),
+    )
     return 0
 
 
 def cmd_dual(args) -> int:
+    if args.digits is not None and args.digits < 1:
+        raise InvalidModulusError(f"--digits must be >= 1, got {args.digits}")
+    if not math.isfinite(args.precision):
+        raise InvalidModulusError(f"--precision must be finite, got {args.precision}")
     spec = _spec_from_args(args)
     pair = build_dual_pair(spec)
     report = verify_weights(pair, tol=args.precision, digits=args.digits)
-    if args.format == "json":
-        payload = pair.to_json_dict()
-        payload["weights"] = report.to_json_dict()
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        rows = [
+    _emit(
+        args.format,
+        lambda: pair.to_json_dict() | {"weights": report.to_json_dict()},
+        lambda: [
             {
                 "root_index": i,
                 "root_re": float(r["root"].real),
@@ -175,30 +188,17 @@ def cmd_dual(args) -> int:
                 "sturmian_positive": r["sturmian_positive"],
             }
             for i, r in enumerate(report.rows)
-        ]
-        _emit_csv(
-            rows,
-            [
-                "root_index",
-                "root_re",
-                "root_im",
-                "equal_mass_residual",
-                "product_residual",
-                "two_route_residual",
-                "sturmian_positive",
-            ],
-        )
-    else:
-        print(f"spec             : {{{spec.label}}}")
-        print(f"charpoly         : {pair.charpoly}")
-        print(f"ramanujan a      : {'  '.join(pair.ramanujan.verblunsky.to_json_list())}")
-        print(f"sturmian  a      : {'  '.join(pair.sturmian.verblunsky.to_json_list())}")
-        for name, ok in pair.checks.items():
-            print(f"exact {name:<22}: {'ok' if ok else 'FAIL'}")
-        print(
+        ],
+        lambda: [
+            f"spec             : {{{spec.label}}}",
+            f"charpoly         : {pair.charpoly}",
+            f"ramanujan a      : {'  '.join(pair.ramanujan.verblunsky.to_json_list())}",
+            f"sturmian  a      : {'  '.join(pair.sturmian.verblunsky.to_json_list())}",
+            *(f"exact {name:<22}: {'ok' if ok else 'FAIL'}" for name, ok in pair.checks.items()),
             f"weights          : max residual {report.max_residual:.3e} "
-            f"over {len(report.rows)} roots (tol {report.tol:g})"
-        )
+            f"over {len(report.rows)} roots (tol {report.tol:g})",
+        ],
+    )
     return 0
 
 
@@ -207,31 +207,15 @@ def cmd_explore(args) -> int:
         raise NonPrimeError(f"--p and --q must be odd primes, got {args.p}, {args.q}")
     if args.p == args.q:
         raise NonPrimeError("--p and --q must be distinct")
-    spec = KroneckerSpec([args.p * args.q])
-    from .duality import ramanujan_from_charpoly
-
-    system = ramanujan_from_charpoly(spec)
+    m = args.p * args.q
+    verblunsky = ramanujan_from_charpoly(KroneckerSpec([m])).verblunsky.to_json_list()
     note = "exploratory - no closed form known"
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "q": args.q,
-            "M": args.p * args.q,
-            "verblunsky": system.verblunsky.to_json_list(),
-            "note": note,
-        }
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        _emit_csv(
-            [
-                {"n": n, "a": v}
-                for n, v in enumerate(system.verblunsky.to_json_list())
-            ],
-            ["n", "a"],
-        )
-    else:
-        print(f"M = {args.p} * {args.q} = {args.p * args.q}   ({note})")
-        print(" ".join(system.verblunsky.to_json_list()))
+    _emit(
+        args.format,
+        lambda: {"p": args.p, "q": args.q, "M": m, "verblunsky": verblunsky, "note": note},
+        lambda: [{"n": n, "a": v} for n, v in enumerate(verblunsky)],
+        lambda: [f"M = {args.p} * {args.q} = {m}   ({note})", " ".join(verblunsky)],
+    )
     return 0
 
 
@@ -288,6 +272,9 @@ def cmd_verify(args) -> int:
         from itertools import combinations
 
         top = min(args.max_m, 12)
+        if args.max_m > top:
+            note = f"note: kronecker-enum caps orders at {top}, below --max-m {args.max_m}"
+            print(note, file=sys.stderr)
         for size in (1, 2, 3):
             for orders in combinations(range(1, top + 1), size):
                 subjects.append((f"kronecker {{{','.join(map(str, orders))}}}",

@@ -33,7 +33,7 @@ from .errors import (
 from .opuc_core import (
     PopucSystem,
     VerblunskySequence,
-    determinant_formula_poly,
+    _check_rungs_by_determinants,
     inverse_szego_step,
     leading_toeplitz_minors,
     moments_from_kronecker,
@@ -41,7 +41,7 @@ from .opuc_core import (
     popuc_from_moments,
     szego_step,
 )
-from .polynomials import KroneckerSpec, Poly, kronecker_poly
+from .polynomials import KroneckerSpec, Poly, horner, kronecker_poly
 
 
 def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
@@ -115,12 +115,7 @@ def sturmian_from_charpoly(
     )
     system.check_delta(leading_toeplitz_minors(system.moments, n1), "Toeplitz minors")
     if paranoid:
-        for n in range(1, n1 + 1):
-            det_poly = determinant_formula_poly(system.moments, n)
-            if det_poly != ladder[n]:
-                raise InternalInconsistencyError(
-                    f"rung {n}: descent gives {ladder[n]}, determinant formula {det_poly}"
-                )
+        _check_rungs_by_determinants(system.moments, ladder, "descent")
     return system
 
 
@@ -171,7 +166,7 @@ def build_dual_pair(spec: KroneckerSpec, paranoid: bool = False) -> DualPair:
     equality of the terminal norms h_N."""
     ram = ramanujan_from_charpoly(spec, paranoid=paranoid)
     charpoly = ram.terminal  # ramanujan_from_charpoly matched it to kronecker_poly(spec)
-    stu = sturmian_from_charpoly(charpoly, family=f"sturmian:{spec.label}")
+    stu = sturmian_from_charpoly(charpoly, family=f"sturmian:{spec.label}", paranoid=paranoid)
 
     checks = {}
     checks["shared_charpoly"] = ram.terminal == stu.terminal == charpoly
@@ -277,15 +272,28 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
                 tol,
                 digits,
                 lambda fr: mpmath.mpf(fr.numerator) / fr.denominator,
+                mpmath.mpmathify,
             )
-    return _verify_weights_impl(pair, tol, None, float)
+    return _verify_weights_impl(pair, tol, None, float, complex)
 
 
-def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num) -> WeightReport:
+def _worst_residual(row: dict) -> float:
+    """The largest residual of one root, over every "..._residual" entry
+    of its row; a Sturmian mass that is not positive counts as 1."""
+    worst = max(value for key, value in row.items() if key.endswith("_residual"))
+    return worst if row["sturmian_positive"] else max(worst, 1.0)
+
+
+def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeff) -> WeightReport:
     n1 = pair.charpoly.degree
     h_terminal = pair.ramanujan.h[-1]
-    phi_n_ram = pair.ramanujan.phis[n1 - 1]
-    deriv = pair.charpoly.derivative()
+    # Each rung coefficient is converted once, by to_coeff.  The values are
+    # bit-identical to evaluating the Fraction rungs themselves: the Horner
+    # step `acc * z + c` converts a Fraction c the same way, to complex(c)
+    # against a complex z and by mpmath's convert (mpmathify) at the working
+    # precision against an mpc z.
+    deriv = [to_coeff(c) for c in pair.charpoly.derivative().coeffs]
+    phi_n_ram = [to_coeff(c) for c in pair.ramanujan.phis[n1 - 1].coeffs]
     roots = numeric_roots(pair.spec, digits=digits)
 
     h_num = to_num(h_terminal)
@@ -294,8 +302,8 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num) -> WeightRe
     mass_sum = 0
     worst = 0.0
     for z in roots.roots:
-        d_val = deriv(z)
-        p_val = phi_n_ram(z)
+        d_val = horner(deriv, z)
+        p_val = horner(phi_n_ram, z)
         w = h_num / (d_val.conjugate() * p_val)
         tw = p_val / d_val
         speed2 = (d_val * d_val.conjugate()).real
@@ -312,16 +320,7 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num) -> WeightRe
             "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
         }
         mass_sum += tw.real
-        worst = max(
-            worst,
-            row["equal_mass_residual"],
-            row["ramanujan_imag_residual"],
-            row["sturmian_imag_residual"],
-            row["product_residual"],
-            row["two_route_residual"],
-        )
-        if not row["sturmian_positive"]:
-            worst = max(worst, 1.0)
+        worst = max(worst, _worst_residual(row))
         report.rows.append(row)
 
     report.sturmian_mass_sum_residual = float(abs(mass_sum - 1))
@@ -329,19 +328,7 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num) -> WeightRe
     report.max_residual = worst
     report.passed = worst < tol
     if not report.passed:
-        bad = [
-            (i, r)
-            for i, r in enumerate(report.rows)
-            if not r["sturmian_positive"]
-            or max(
-                r["equal_mass_residual"],
-                r["ramanujan_imag_residual"],
-                r["sturmian_imag_residual"],
-                r["product_residual"],
-                r["two_route_residual"],
-            )
-            >= tol
-        ]
+        bad = [(i, r) for i, r in enumerate(report.rows) if _worst_residual(r) >= tol]
         detail = "; ".join(
             f"root {i}: z={r['root']}, residuals "
             f"(equal={r['equal_mass_residual']:.3e}, product={r['product_residual']:.3e}, "

@@ -161,13 +161,6 @@ def _scaled_prefix(m: MomentSequence, n: int) -> tuple[list[int], int]:
     return _scaled(m.at(k) for k in range(n))
 
 
-def _scaled_toeplitz(m: MomentSequence, n: int) -> tuple[list[list[int]], int]:
-    """n x n matrix with entry (i, j) = D * sigma_{j-i}, D the common
-    denominator of the moments involved."""
-    ints, scale = _scaled_prefix(m, n)
-    return [[ints[abs(j - i)] for j in range(n)] for i in range(n)], scale
-
-
 def _scaled_moments(m: MomentSequence, count: int) -> tuple[list[int], int]:
     """(S, D) with S[count - 1 + t] == D * sigma_t for -count < t < count,
     D the common denominator of sigma_0..sigma_{count-1}."""
@@ -206,7 +199,8 @@ def toeplitz_det(m: MomentSequence, n: int) -> Fraction:
         raise InvalidModulusError(f"determinant size must be >= 0, got {n}")
     if n == 0:
         return Fraction(1)
-    rows, scale = _scaled_toeplitz(m, n)
+    ints, scale = _scaled_prefix(m, n)
+    rows = [[ints[abs(j - i)] for j in range(n)] for i in range(n)]  # D * sigma_{j-i}
     return Fraction(_bareiss_det(rows), scale**n)
 
 
@@ -568,6 +562,18 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     return Poly(coeffs)
 
 
+def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
+    """The paranoid cross-check of a ladder built by `route`: every rung
+    Phi_1..Phi_{N+1} must equal the bordered-determinant formula on the
+    moments m, coefficient by coefficient."""
+    for n in range(1, len(phis)):
+        det_poly = determinant_formula_poly(m, n)
+        if det_poly != phis[n]:
+            raise InternalInconsistencyError(
+                f"rung {n}: {route} gives {phis[n]}, determinant formula {det_poly}"
+            )
+
+
 def popuc_from_moments(
     m: MomentSequence,
     n_plus_1: int,
@@ -635,12 +641,7 @@ def popuc_from_moments(
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
     if paranoid:
-        for n in range(1, n_terminal + 1):
-            det_poly = determinant_formula_poly(m, n)
-            if det_poly != phis[n]:
-                raise InternalInconsistencyError(
-                    f"rung {n}: recurrence gives {phis[n]}, determinant formula {det_poly}"
-                )
+        _check_rungs_by_determinants(m, phis, "recurrence")
     return system
 
 

@@ -38,6 +38,15 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
+def horner(coeffs, x):
+    """sum_k coeffs[k] * x^k by Horner's rule, coefficients ascending;
+    works for Fraction, int, complex and mpmath values (0 * x if empty)."""
+    acc = None
+    for c in reversed(coeffs):
+        acc = c if acc is None else acc * x + c
+    return 0 * x if acc is None else acc
+
+
 class Poly:
     """Immutable dense polynomial with Fraction coefficients.
 
@@ -178,13 +187,8 @@ class Poly:
         return Poly(padded[::-1])
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, complex, mpmath."""
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return 0 * x
-        return acc
+        """The value at x, by ``horner``."""
+        return horner(self.coeffs, x)
 
     # -- presentation -------------------------------------------------
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -222,3 +223,283 @@ def test_module_entry_point_subprocess():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "4 -1 -1 -1 -1"
+
+
+# -- the one output path: every byte, each format ------------------------------
+
+# stdout of each command, byte for byte (csv rows end in \r\n, as the csv
+# module writes them).
+GOLDEN = {
+    "sums --m 6 --n-max 6": (
+        "2 1 -1 -2 -1 1 2\n"
+    ),
+    "sums --m 6 --n-max 6 --format json": (
+        '{"modulus": 6, "values": [2, 1, -1, -2, -1, 1, 2]}\n'
+    ),
+    "sums --m 6 --n-max 6 --format csv": (
+        "n,value\r\n"
+        "0,2\r\n"
+        "1,1\r\n"
+        "2,-1\r\n"
+        "3,-2\r\n"
+        "4,-1\r\n"
+        "5,1\r\n"
+        "6,2\r\n"
+    ),
+    "popuc --m 7": (
+        "family     : ramanujan:7\n"
+        "N          : 5\n"
+        "verblunsky : -1/6  -1/5  -1/4  -1/3  -1/2  -1\n"
+        "h          : 1  35/36  14/15  7/8  7/9  7/12\n"
+        "delta      : 1  35/36  49/54  343/432  2401/3888  16807/46656\n"
+        "moments    : 1  -1/6  -1/6  -1/6  -1/6  -1/6  -1/6\n"
+        "Phi_0      : 1\n"
+        "Phi_1      : z + 1/6\n"
+        "Phi_2      : z^2 + 1/5*z + 1/5\n"
+        "Phi_3      : z^3 + 1/4*z^2 + 1/4*z + 1/4\n"
+        "Phi_4      : z^4 + 1/3*z^3 + 1/3*z^2 + 1/3*z + 1/3\n"
+        "Phi_5      : z^5 + 1/2*z^4 + 1/2*z^3 + 1/2*z^2 + 1/2*z + 1/2\n"
+        "Phi_6      : z^6 + z^5 + z^4 + z^3 + z^2 + z + 1\n"
+    ),
+    "popuc --m 7 --format json": (
+        '{"family": "ramanujan:7", "N": 5, "verblunsky": ["-1/6", "-1/5", "-1/4", "-1/3", '
+        '"-1/2", "-1"], "phis": [["1"], ["1/6", "1"], ["1/5", "1/5", "1"], ["1/4", "1/4", '
+        '"1/4", "1"], ["1/3", "1/3", "1/3", "1/3", "1"], ["1/2", "1/2", "1/2", "1/2", "1/2", '
+        '"1"], ["1", "1", "1", "1", "1", "1", "1"]], "h": ["1", "35/36", "14/15", "7/8", '
+        '"7/9", "7/12"], "delta": ["1", "35/36", "49/54", "343/432", "2401/3888", '
+        '"16807/46656"], "moments": ["1", "-1/6", "-1/6", "-1/6", "-1/6", "-1/6", '
+        '"-1/6"]}\n'
+    ),
+    "popuc --m 7 --format csv": (
+        "series,n,k,value\r\n"
+        "phi,0,0,1\r\n"
+        "phi,1,0,1/6\r\n"
+        "phi,1,1,1\r\n"
+        "phi,2,0,1/5\r\n"
+        "phi,2,1,1/5\r\n"
+        "phi,2,2,1\r\n"
+        "phi,3,0,1/4\r\n"
+        "phi,3,1,1/4\r\n"
+        "phi,3,2,1/4\r\n"
+        "phi,3,3,1\r\n"
+        "phi,4,0,1/3\r\n"
+        "phi,4,1,1/3\r\n"
+        "phi,4,2,1/3\r\n"
+        "phi,4,3,1/3\r\n"
+        "phi,4,4,1\r\n"
+        "phi,5,0,1/2\r\n"
+        "phi,5,1,1/2\r\n"
+        "phi,5,2,1/2\r\n"
+        "phi,5,3,1/2\r\n"
+        "phi,5,4,1/2\r\n"
+        "phi,5,5,1\r\n"
+        "phi,6,0,1\r\n"
+        "phi,6,1,1\r\n"
+        "phi,6,2,1\r\n"
+        "phi,6,3,1\r\n"
+        "phi,6,4,1\r\n"
+        "phi,6,5,1\r\n"
+        "phi,6,6,1\r\n"
+        "verblunsky,0,,-1/6\r\n"
+        "verblunsky,1,,-1/5\r\n"
+        "verblunsky,2,,-1/4\r\n"
+        "verblunsky,3,,-1/3\r\n"
+        "verblunsky,4,,-1/2\r\n"
+        "verblunsky,5,,-1\r\n"
+        "h,0,,1\r\n"
+        "h,1,,35/36\r\n"
+        "h,2,,14/15\r\n"
+        "h,3,,7/8\r\n"
+        "h,4,,7/9\r\n"
+        "h,5,,7/12\r\n"
+        "delta,0,,1\r\n"
+        "delta,1,,35/36\r\n"
+        "delta,2,,49/54\r\n"
+        "delta,3,,343/432\r\n"
+        "delta,4,,2401/3888\r\n"
+        "delta,5,,16807/46656\r\n"
+        "moment,0,,1\r\n"
+        "moment,1,,-1/6\r\n"
+        "moment,2,,-1/6\r\n"
+        "moment,3,,-1/6\r\n"
+        "moment,4,,-1/6\r\n"
+        "moment,5,,-1/6\r\n"
+        "moment,6,,-1/6\r\n"
+    ),
+    "popuc --kronecker 1,2,5 --family sturmian": (
+        "family     : sturmian:1,2,5\n"
+        "N          : 5\n"
+        "verblunsky : -4/5  -1/9  1/8  -1/7  1/6  1\n"
+        "h          : 1  9/25  16/45  7/20  12/35  1/3\n"
+        "delta      : 1  9/25  16/125  28/625  48/3125  16/3125\n"
+        "moments    : 1  -4/5  3/5  -2/5  1/5  0  1/5\n"
+        "Phi_0      : 1\n"
+        "Phi_1      : z + 4/5\n"
+        "Phi_2      : z^2 + 8/9*z + 1/9\n"
+        "Phi_3      : z^3 + 7/8*z^2 - 1/8\n"
+        "Phi_4      : z^4 + 6/7*z^3 + 1/7\n"
+        "Phi_5      : z^5 + 5/6*z^4 - 1/6\n"
+        "Phi_6      : z^6 + z^5 - z - 1\n"
+    ),
+    "popuc --kronecker 1,2,5 --family sturmian --format json": (
+        '{"family": "sturmian:1,2,5", "N": 5, "verblunsky": ["-4/5", "-1/9", "1/8", "-1/7", '
+        '"1/6", "1"], "phis": [["1"], ["4/5", "1"], ["1/9", "8/9", "1"], ["-1/8", "0", '
+        '"7/8", "1"], ["1/7", "0", "0", "6/7", "1"], ["-1/6", "0", "0", "0", "5/6", "1"], '
+        '["-1", "-1", "0", "0", "0", "1", "1"]], "h": ["1", "9/25", "16/45", "7/20", '
+        '"12/35", "1/3"], "delta": ["1", "9/25", "16/125", "28/625", "48/3125", "16/3125"], '
+        '"moments": ["1", "-4/5", "3/5", "-2/5", "1/5", "0", "1/5"]}\n'
+    ),
+    "popuc --kronecker 1,2,5 --family sturmian --format csv": (
+        "series,n,k,value\r\n"
+        "phi,0,0,1\r\n"
+        "phi,1,0,4/5\r\n"
+        "phi,1,1,1\r\n"
+        "phi,2,0,1/9\r\n"
+        "phi,2,1,8/9\r\n"
+        "phi,2,2,1\r\n"
+        "phi,3,0,-1/8\r\n"
+        "phi,3,1,0\r\n"
+        "phi,3,2,7/8\r\n"
+        "phi,3,3,1\r\n"
+        "phi,4,0,1/7\r\n"
+        "phi,4,1,0\r\n"
+        "phi,4,2,0\r\n"
+        "phi,4,3,6/7\r\n"
+        "phi,4,4,1\r\n"
+        "phi,5,0,-1/6\r\n"
+        "phi,5,1,0\r\n"
+        "phi,5,2,0\r\n"
+        "phi,5,3,0\r\n"
+        "phi,5,4,5/6\r\n"
+        "phi,5,5,1\r\n"
+        "phi,6,0,-1\r\n"
+        "phi,6,1,-1\r\n"
+        "phi,6,2,0\r\n"
+        "phi,6,3,0\r\n"
+        "phi,6,4,0\r\n"
+        "phi,6,5,1\r\n"
+        "phi,6,6,1\r\n"
+        "verblunsky,0,,-4/5\r\n"
+        "verblunsky,1,,-1/9\r\n"
+        "verblunsky,2,,1/8\r\n"
+        "verblunsky,3,,-1/7\r\n"
+        "verblunsky,4,,1/6\r\n"
+        "verblunsky,5,,1\r\n"
+        "h,0,,1\r\n"
+        "h,1,,9/25\r\n"
+        "h,2,,16/45\r\n"
+        "h,3,,7/20\r\n"
+        "h,4,,12/35\r\n"
+        "h,5,,1/3\r\n"
+        "delta,0,,1\r\n"
+        "delta,1,,9/25\r\n"
+        "delta,2,,16/125\r\n"
+        "delta,3,,28/625\r\n"
+        "delta,4,,48/3125\r\n"
+        "delta,5,,16/3125\r\n"
+        "moment,0,,1\r\n"
+        "moment,1,,-4/5\r\n"
+        "moment,2,,3/5\r\n"
+        "moment,3,,-2/5\r\n"
+        "moment,4,,1/5\r\n"
+        "moment,5,,0\r\n"
+        "moment,6,,1/5\r\n"
+    ),
+    "explore --p 3 --q 5": (
+        "M = 3 * 5 = 15   (exploratory - no closed form known)\n"
+        "1/8 1/9 -2/7 1/5 -9/16 -1/5 2/3 -1\n"
+    ),
+    "explore --p 3 --q 5 --format json": (
+        '{"p": 3, "q": 5, "M": 15, "verblunsky": ["1/8", "1/9", "-2/7", "1/5", "-9/16", '
+        '"-1/5", "2/3", "-1"], "note": "exploratory - no closed form known"}\n'
+    ),
+    "explore --p 3 --q 5 --format csv": (
+        "n,a\r\n"
+        "0,1/8\r\n"
+        "1,1/9\r\n"
+        "2,-2/7\r\n"
+        "3,1/5\r\n"
+        "4,-9/16\r\n"
+        "5,-1/5\r\n"
+        "6,2/3\r\n"
+        "7,-1\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_output_is_byte_exact(capsys, command):
+    assert run_cli(capsys, *command.split()) == (0, GOLDEN[command], "")
+
+
+DUAL_123_TABLE = [
+    "spec             : {1,2,3}",
+    "charpoly         : z^4 + z^3 - z - 1",
+    "ramanujan a      : -1/4  1/5  2/3  1",
+    "sturmian  a      : -2/3  -1/5  1/4  1",
+    "exact shared_charpoly       : ok",
+    "exact mirror_map            : ok",
+    "exact sturm_condition       : ok",
+    "exact h_terminal_equal      : ok",
+]
+DUAL_CSV_COLUMNS = [
+    "root_index",
+    "root_re",
+    "root_im",
+    "equal_mass_residual",
+    "product_residual",
+    "two_route_residual",
+    "sturmian_positive",
+]
+
+
+def test_dual_table_lines_and_csv_columns(capsys):
+    # Residual digits depend on libm, so only the text around them is pinned.
+    code, out, _ = run_cli(capsys, "dual", "--kronecker", "1,2,3")
+    lines = out.splitlines()
+    assert code == 0 and lines[:-1] == DUAL_123_TABLE
+    assert re.fullmatch(
+        r"weights          : max residual \d\.\d{3}e-\d\d over 4 roots \(tol 1e-12\)", lines[-1]
+    )
+    code, out, _ = run_cli(capsys, "dual", "--kronecker", "1,2,3", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows[0] == DUAL_CSV_COLUMNS
+    assert [(r[0], r[-1]) for r in rows[1:]] == [(str(i), "True") for i in range(4)]
+    code, out, _ = run_cli(capsys, "dual", "--kronecker", "1,2,3", "--format", "json")
+    payload = json.loads(out)
+    assert list(payload) == ["spec", "charpoly", "ramanujan", "sturmian", "checks", "weights"]
+    assert list(payload["weights"]) == [
+        "tol",
+        "passed",
+        "max_residual",
+        "sturmian_mass_sum_residual",
+        "roots_checked",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--digits=0", "--digits=-3", "--precision=nan", "--precision=inf", "--precision=-inf"],
+)
+def test_dual_out_of_range_precision_flags_are_usage_errors(capsys, flag):
+    code, out, err = run_cli(capsys, "dual", "--m", "5", flag)
+    name, value = flag.split("=")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} must be") and value in err
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_dual_digits_with_a_single_root(capsys, m):
+    # N + 1 = 1: both rungs Phi_N and Phi'_{N+1} are constants.
+    code, out, _ = run_cli(capsys, "dual", "--m", m, "--digits", "20", "--format", "json")
+    assert code == 0 and json.loads(out)["weights"]["max_residual"] == 0.0
+
+
+def test_verify_kronecker_enum_cap_is_noted_on_stderr(capsys):
+    argv = ("verify", "--families", "kronecker-enum", "--max-m")
+    code12, out12, err12 = run_cli(capsys, *argv, "12")
+    code13, out13, err13 = run_cli(capsys, *argv, "13")
+    assert code12 == code13 == 0
+    assert out13 == out12 and out12.endswith("298/298 verified\n")
+    assert err12 == ""
+    assert err13 == "note: kronecker-enum caps orders at 12, below --max-m 13\n"

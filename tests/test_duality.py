@@ -16,8 +16,10 @@ from ramanujan_popuc.duality import (
     sturmian_from_charpoly,
     verify_weights,
 )
+from ramanujan_popuc import opuc_core
 from ramanujan_popuc.errors import (
     InteriorCoefficientOutOfRangeError,
+    InternalInconsistencyError,
     InvalidCharacteristicError,
     WeightCheckFailureError,
 )
@@ -187,6 +189,26 @@ def test_binary_pq_families_satisfy_all_invariants():
         verify_weights(pair, tol=1e-11)
         n1 = spec.total_degree
         assert toeplitz_det(moments_from_kronecker(spec, n1 + 1), n1 + 1) == 0
+
+
+def test_paranoid_dual_pair_checks_both_ladders(monkeypatch):
+    # The determinant formula is made wrong for Sturmian moments only, so
+    # only the descent side's paranoid check can catch it.
+    formula = opuc_core.determinant_formula_poly
+    seen = []
+
+    def wrong_for_sturmian(m, n):
+        seen.append(m.provenance)
+        poly = formula(m, n)
+        return poly + P(F(1, 101)) if m.provenance.startswith("sturmian") else poly
+
+    monkeypatch.setattr(opuc_core, "determinant_formula_poly", wrong_for_sturmian)
+    spec = KroneckerSpec([1, 2, 5])
+    build_dual_pair(spec)  # not paranoid: the formula is never asked
+    assert seen == []
+    with pytest.raises(InternalInconsistencyError, match=r"^rung 1: descent gives z \+ 4/5, "):
+        build_dual_pair(spec, paranoid=True)
+    assert seen == ["kronecker:1,2,5"] * 6 + ["sturmian:1,2,5"]
 
 
 # -- numeric layer -------------------------------------------------------------
