@@ -102,8 +102,8 @@ def _system_csv_rows(system) -> list[dict]:
     per coefficient, scalar series leave k empty."""
     rows = []
     for n, phi in enumerate(system.phis):
-        for k, c in enumerate(phi.coeffs):
-            rows.append({"series": "phi", "n": n, "k": k, "value": str(c)})
+        for k, c in enumerate(phi.to_json_list()):
+            rows.append({"series": "phi", "n": n, "k": k, "value": c})
     for series, values in (
         ("verblunsky", system.verblunsky.to_json_list()),
         ("h", [str(v) for v in system.h]),

@@ -78,10 +78,7 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
     """
     family = FamilyId(FamilyKind.RAMANUJAN_PRIME, p)
     n_max = p - 2
-    phis = [
-        Poly([Fraction(1, n_max - n + 2)] * n + [1])
-        for n in range(n_max + 2)
-    ]
+    phis = [Poly.from_ints([1] * n + [n_max - n + 2], n_max - n + 2) for n in range(n_max + 2)]
     a = [Fraction(-1, n_max - n + 1) for n in range(n_max + 1)]
     delta = tuple(
         Fraction(p ** (n - 1) * (p - n), (p - 1) ** n) for n in range(1, n_max + 2)
@@ -124,10 +121,7 @@ def cf_single_moment(n_max: int) -> PopucSystem:
     Moments are recovered from the ladder itself.
     """
     family = FamilyId(FamilyKind.SINGLE_MOMENT, n_max)
-    phis = [
-        Poly([Fraction(k + 1, n + 1) for k in range(n)] + [1])
-        for n in range(n_max + 1)
-    ]
+    phis = [Poly.from_ints(range(1, n + 2), n + 1) for n in range(n_max + 1)]
     a = [Fraction(-1, n + 2) for n in range(n_max)] + [Fraction(-1)]
     phis.append(szego_step(phis[-1], a[-1]))
     moments = moments_from_ladder(phis, provenance=family.label)
@@ -149,13 +143,8 @@ def cf_sturmian_anti2p(p: int) -> PopucSystem:
     terminal = Poly([-1, -1] + [0] * (p - 2) + [1, 1])
     phis = [Poly.one(), Poly([1 - Fraction(1, p), 1])]
     for n in range(2, p + 1):
-        phis.append(
-            Poly(
-                [Fraction((-1) ** n, 2 * p - n + 1)]
-                + [0] * (n - 2)
-                + [Fraction(2 * p - n, 2 * p - n + 1), 1]
-            )
-        )
+        top = [2 * p - n, 2 * p - n + 1]
+        phis.append(Poly.from_ints([(-1) ** n, *[0] * (n - 2), *top], top[1]))
     phis.append(terminal)
     if phis[p] * Fraction(p + 1) != terminal.derivative():
         raise InternalInconsistencyError("next-to-last rung is not the normalized derivative")

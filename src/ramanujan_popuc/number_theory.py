@@ -139,7 +139,9 @@ class RamanujanTable:
         _check_modulus(self.modulus)
 
     def value(self, n: int) -> int:
-        return self.values[n % self.modulus] if n >= len(self.values) else self.values[n]
+        """c_M(n) = c_M(|n| mod M), by both routes when it is not stored."""
+        k = abs(n) % self.modulus
+        return self.values[k] if k < len(self.values) else _checked_sum(self.modulus, k)
 
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "values": list(self.values)}
@@ -154,13 +156,15 @@ def ramanujan_table(m: int, length: int) -> RamanujanTable:
     _check_modulus(m)
     if length < 0:
         raise InvalidModulusError(f"table length must be >= 0, got {length}")
-    values = []
-    for n in range(length + 1):
-        direct = ramanujan_sum_direct(m, n)
-        fast = ramanujan_sum_fast(m, n)
-        if direct != fast:
-            raise InternalInconsistencyError(
-                f"c_{m}({n}): direct route gives {direct}, divisor-sum route gives {fast}"
-            )
-        values.append(direct)
-    return RamanujanTable(modulus=m, values=tuple(values))
+    return RamanujanTable(modulus=m, values=tuple(_checked_sum(m, n) for n in range(length + 1)))
+
+
+def _checked_sum(m: int, n: int) -> int:
+    """c_m(n) by both routes; InternalInconsistencyError if they disagree."""
+    direct = ramanujan_sum_direct(m, n)
+    fast = ramanujan_sum_fast(m, n)
+    if direct != fast:
+        raise InternalInconsistencyError(
+            f"c_{m}({n}): direct route gives {direct}, divisor-sum route gives {fast}"
+        )
+    return direct

@@ -16,11 +16,13 @@ ladder whose reflection coefficients satisfy |a_k| < 1 for k < N and
 circle carrying a discrete orthogonality measure.
 
 Public values (moments, coefficients, determinants, inner products) are
-always ``Fraction`` or ``Poly``.  The quadratic and cubic inner loops
-(Toeplitz minors, the annihilation check, the Gram matrix, Newton's
-identities) instead run on Python integers over one common denominator
-per moment vector or polynomial (see ``_scaled``), the fraction-free idea
-of Bareiss (1968): no gcd is taken until a result leaves the loop.
+always ``Fraction`` or ``Poly``.  Every inner loop instead runs on Python
+integers over one common denominator per moment vector (``_scaled``) or
+polynomial (a ``Poly``'s stored form), the fraction-free idea of Bareiss
+(1968): the minors, the annihilation check, the Gram matrix and Newton's
+identities take no gcd until a result leaves the loop, and the ladder
+recurrences (both directions, the Levinson inner product, the moments
+recovered from a ladder) one per rung.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd
 from operator import mul
 
 from .errors import (
@@ -43,15 +45,7 @@ from .errors import (
     UnimodularConstantTermError,
 )
 from .number_theory import euler_totient, ramanujan_table
-from .polynomials import KroneckerSpec, Poly
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """(ints, D) with values[i] == ints[i] / D exactly, D > 0 the least
-    common denominator of the values (1 for no values)."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+from .polynomials import KroneckerSpec, Poly, _scaled
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
     if charpoly[0] == 0:
         raise InvalidCharacteristicError("roots must be nonzero (constant term is 0)")
     d = charpoly.degree
-    ints, scale = _scaled(charpoly.coeffs)
+    ints, scale = charpoly.ints, charpoly.den
     q = [c * scale ** (d - 1 - i) for i, c in enumerate(ints[:d])]
     # Newton for the power sums P_k of q: P_k = -(q_{d-1} P_{k-1} + ... +
     # q_{d-r} P_{k-r}) - k q_{d-k}, r = min(k - 1, d), the last term only
@@ -280,8 +274,8 @@ def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
             f"to index {max(f.degree, g.degree)}"
         )
     deg = max(f.degree, g.degree)
-    fs, f_scale = _scaled(f.coeffs)
-    gs, g_scale = _scaled(g.coeffs)
+    fs, f_scale = f.ints, f.den
+    gs, g_scale = g.ints, g.den
     sym, scale = _scaled_moments(m, deg + 1)
     # sym[deg + j - k] = D * sigma_{j-k} for k = 0, 1, ...
     acc = sum(fj * sum(map(mul, gs, sym[deg + j :: -1])) for j, fj in enumerate(fs) if fj)
@@ -289,11 +283,14 @@ def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
 
 
 def szego_step(phi: Poly, a: Fraction) -> Poly:
-    """One forward recurrence step: z * phi - a * phi^* (real case)."""
+    """One forward recurrence step: z * phi - a * phi^* (real case), as
+    (q z P - p P^*) / (q d) for phi = P / d and a = p / q in lowest terms."""
     if not phi.is_monic:
         raise InvalidCharacteristicError("recurrence steps need a monic polynomial")
     a = Fraction(a)
-    return phi.shift(1) - a * phi.reversed()
+    p, q, ints = a.numerator, a.denominator, phi.ints
+    shifted, star = (0, *ints), (*ints[::-1], 0)
+    return Poly.from_ints([q * x - p * y for x, y in zip(shifted, star)], q * phi.den)
 
 
 def inverse_szego_step(phi_next: Poly) -> tuple[Poly, Fraction]:
@@ -301,21 +298,22 @@ def inverse_szego_step(phi_next: Poly) -> tuple[Poly, Fraction]:
 
     a is read off the constant term as a = -phi_next(0); the descent is
     exact for |a| != 1 because phi = (phi_next + a*phi_next^*) / ((1-a^2) z).
+    For phi_next = P / d, a = -P_0 / d and phi = (d P - P_0 P^*) / (z (d^2 - P_0^2)).
     """
     if not phi_next.is_monic or phi_next.degree < 1:
         raise InvalidCharacteristicError(
             "descent needs a monic polynomial of degree >= 1"
         )
-    a = -phi_next[0]
+    ints, d = phi_next.ints, phi_next.den
+    a = Fraction(-ints[0], d)
     if abs(a) == 1:
         raise UnimodularConstantTermError(
             f"|constant term| = 1 in {phi_next}; descent cannot continue"
         )
-    num = phi_next + a * phi_next.reversed()
+    num = [d * x - ints[0] * y for x, y in zip(ints, ints[::-1])]
     if num[0] != 0:
         raise InternalInconsistencyError("descent numerator kept a constant term")
-    phi = Poly(num.coeffs[1:]) * (1 / (1 - a * a))
-    return phi, a
+    return Poly.from_ints(num[1:], d * d - ints[0] * ints[0]), a
 
 
 # ---------------------------------------------------------------------------
@@ -505,14 +503,15 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
     """Phi_{N+1} vanishes on the support, so <z^j Phi_{N+1}, 1> = 0 for
     every j >= 0: each moment past sigma_{N+1} is fixed by the ones below
     it.  Raise TerminalMassError naming the first sigma_k that is not."""
-    d = terminal.degree
-    lower = terminal.coeffs[:-1]
+    d, lower = terminal.degree, terminal.ints[:-1]
+    sigma, scale = _scaled(m.sigma)
     for k in range(d + 1, m.max_index + 1):
-        implied = -sum(c * s for c, s in zip(lower, m.sigma[k - d :]))
-        if m.sigma[k] != implied:
+        # with Phi_d = C / E and sigma_t = S_t / D, D * E * implied sigma_k
+        implied = -sum(map(mul, lower, sigma[k - d :]))
+        if implied != terminal.den * sigma[k]:
             raise TerminalMassError(
                 f"sigma_{k} = {m.sigma[k]}, but the terminal rung Phi_{d} implies "
-                f"{implied} ({m.provenance})"
+                f"{Fraction(implied, scale * terminal.den)} ({m.provenance})"
             )
 
 
@@ -530,7 +529,7 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     count = len(phis)
     sym, scale = _scaled_moments(m, count)
     for n in range(1, count):
-        coeffs, rung_scale = _scaled(phis[n].coeffs)
+        coeffs, rung_scale = phis[n].ints, phis[n].den
         for j in range(n):
             start = count - 1 - j  # sym[start + k] = D * sigma_{k-j}
             val = sum(map(mul, coeffs, sym[start : start + len(coeffs)]))
@@ -554,12 +553,10 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     if delta_n == 0:
         raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
     ints, scale = _scaled(m.at(k) for k in range(n + 1))
-    coeffs = []
-    for j in range(n + 1):
-        rows = [[ints[abs(c - i)] for c in range(n + 1) if c != j] for i in range(n)]
-        minor = Fraction(_bareiss_det(rows), scale**n)
-        coeffs.append((-1) ** (n + j) * minor / delta_n)
-    return Poly(coeffs)
+    rows = [[ints[abs(c - i)] for c in range(n + 1)] for i in range(n)]
+    cofactors = [_bareiss_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
+    cofactors = [(-1) ** (n + j) * c for j, c in enumerate(cofactors)]  # times scale^n
+    return Poly.from_ints(cofactors, scale**n) * (1 / delta_n)
 
 
 def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
@@ -609,13 +606,14 @@ def popuc_from_moments(
     # Positivity of Delta_1..Delta_N+1 up front (one Schur sweep).
     minors = leading_toeplitz_minors(m, n_terminal)
 
+    # sigma[k] = D * sigma_{k+1}, so D * E * <z Phi_n, 1> = sum_k C_k sigma[k] for Phi_n = C / E
+    sigma, scale = _scaled(m.at(k + 1) for k in range(n_terminal))
     phis = [Poly.one()]
     a: list[Fraction] = []
     h_n = Fraction(1)
     for n in range(n_terminal):
         phi = phis[n]
-        num = sum(c * m.at(k + 1) for k, c in enumerate(phi.coeffs) if c)
-        a_n = num / h_n
+        a_n = Fraction(sum(map(mul, phi.ints, sigma)), phi.den * scale) / h_n
         if n < n_terminal - 1:
             if abs(a_n) >= 1:
                 raise SingularMomentError(
@@ -650,11 +648,15 @@ def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:
     annihilation conditions <Phi_n, 1> = 0 upward: each rung determines
     the next moment because it is monic.  Used for systems defined by
     descent, whose measure is known only implicitly."""
-    sigma = [Fraction(1)]
-    for n in range(1, len(phis)):
-        phi = phis[n]
-        sigma.append(-sum(phi[k] * sigma[k] for k in range(n)))
-    return MomentSequence(sigma=tuple(sigma), provenance=provenance)
+    # sigma_k = ints[k] / den, den the least common denominator so far
+    ints, den = [1], 1
+    for phi in phis[1:]:
+        value = Fraction(-sum(map(mul, phi.ints, ints)), phi.den * den)
+        if den % value.denominator:
+            grow = value.denominator // gcd(den, value.denominator)
+            ints, den = [x * grow for x in ints], den * grow
+        ints.append(value.numerator * (den // value.denominator))
+    return MomentSequence(sigma=tuple(Fraction(x, den) for x in ints), provenance=provenance)
 
 
 def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
@@ -666,7 +668,7 @@ def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
     if deg > m.max_index:
         raise InsufficientMomentsError("Gram matrix needs moments up to the max degree")
     sym, scale = _scaled_moments(m, deg + 1)
-    rows = [_scaled(p.coeffs) for p in polys]
+    rows = [(p.ints, p.den) for p in polys]
     # mid[i][k] = D * E_i * sum_j p_i[j] * sigma_{j-k}, as sym[deg - k + j] = D * sigma_{j-k}
     mid = [[sum(map(mul, r, sym[deg - k :])) for k in range(deg + 1)] for r, _ in rows]
     return [

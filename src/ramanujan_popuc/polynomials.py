@@ -1,10 +1,11 @@
 """Dense univariate polynomials over exact rationals, plus the cyclotomic,
 anti-cyclotomic and Kronecker constructors built on them.
 
-Coefficients are fractions.Fraction, stored ascending by degree with no
-trailing zeros; the zero polynomial is the empty tuple.  One scalar type
-end-to-end avoids any promotion lattice: integer polynomials are simply
-polynomials whose fractions happen to have denominator 1.
+A Poly is stored as integer numerators, ascending by degree with no
+trailing zero, over one positive denominator, and its arithmetic takes
+one gcd per operation.  Coefficients read as fractions.Fraction, built
+on demand, so one scalar type is public end-to-end: integer polynomials
+are simply those with denominator 1.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -29,11 +31,7 @@ from .number_theory import (
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
@@ -47,20 +45,40 @@ def horner(coeffs, x):
     return 0 * x if acc is None else acc
 
 
-class Poly:
-    """Immutable dense polynomial with Fraction coefficients.
+def _scaled(values) -> tuple[list[int], int]:
+    """(ints, D) with values[i] == ints[i] / D exactly, D > 0 the least
+    common denominator of the values (1 for no values)."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
-    ``coeffs[k]`` is the coefficient of z^k.  Arithmetic is exact ring
-    arithmetic; division is available only when it is exact.
+
+class Poly:
+    """Immutable dense polynomial with exact rational coefficients.
+
+    The coefficient of z^k is ints[k] / den, with den > 0, gcd(ints, den)
+    = 1 and no trailing zero: the form ``_scaled`` gives, so equal
+    polynomials have equal stored forms.  Every operation runs on the
+    integers and divides out their content once.  ``coeffs`` and ``p[k]``
+    are Fractions built on demand.  Division is available only when exact.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        p = Poly.from_ints(*_scaled(map(_as_fraction, coeffs)))
+        self.ints, self.den = p.ints, p.den
+
+    @staticmethod
+    def from_ints(ints: Iterable[int], den: int = 1) -> "Poly":
+        """sum_k ints[k] / den * z^k (integers, den != 0) in the stored form."""
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(*ints, den) if den > 0 else -gcd(*ints, den)
+        p = object.__new__(Poly)
+        p.ints, p.den = (tuple(c // g for c in ints) if g != 1 else tuple(ints)), den // g
+        return p
 
     # -- constructors ------------------------------------------------
 
@@ -80,45 +98,51 @@ class Poly:
     # -- basic queries -----------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending by degree."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.ints) and self.ints[-1] == self.den
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     # -- ring arithmetic ---------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.ints]
+        b = [c * (den // other.den) for c in other.ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+            a[i] += c
+        return Poly.from_ints(a, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly.from_ints([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -126,41 +150,43 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = _as_fraction(other)
-            return Poly(tuple(c * a for a in self.coeffs))
+            return Poly.from_ints([c.numerator * a for a in self.ints], c.denominator * self.den)
         if self.is_zero or other.is_zero:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.ints):
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly.from_ints(out, self.den * other.den)
 
-    def __rmul__(self, other) -> "Poly":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def shift(self, k: int) -> "Poly":
         """Multiply by z^k."""
         if self.is_zero:
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly.from_ints((0,) * k + self.ints, self.den)
 
     def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean quotient and remainder (den nonzero)."""
+        """Euclidean quotient and remainder (den nonzero) by pseudo-division
+        of the numerators A and B: b^s A = Q B + R, b = B's lead, s steps."""
         if den.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, lead = den.degree, den.coeffs[-1]
-        q = [Fraction(0)] * max(len(rem) - dd, 0)
+        rem = list(self.ints)
+        dd, lead = den.degree, den.ints[-1]
+        quo = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if not c:
-                continue
-            f = c / lead
-            q[i - dd] = f
-            for j, b in enumerate(den.coeffs):
-                rem[i - dd + j] -= f * b
-        return Poly(q), Poly(rem)
+            if lead != 1:
+                rem = [x * lead for x in rem]
+                quo = [x * lead for x in quo]
+            if c:
+                quo[i - dd] += c
+                for j, b in enumerate(den.ints):
+                    rem[i - dd + j] -= c * b
+        scale = lead ** len(quo) * self.den
+        return Poly.from_ints([x * den.den for x in quo], scale), Poly.from_ints(rem, scale)
 
     def divexact(self, den: "Poly") -> "Poly":
         """Exact quotient; NonzeroRemainderError when den does not divide."""
@@ -170,7 +196,7 @@ class Poly:
         return q
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
+        return Poly.from_ints([k * c for k, c in enumerate(self.ints) if k], self.den)
 
     def reversed(self, n: int | None = None) -> "Poly":
         """The reversed (star) polynomial z^n * p(1/z) padded to degree n.
@@ -183,8 +209,8 @@ class Poly:
             n = max(self.degree, 0)
         if self.degree > n:
             raise DegreeBoundError(f"degree {self.degree} exceeds reversal bound {n}")
-        padded = self.coeffs + (Fraction(0),) * (n + 1 - len(self.coeffs))
-        return Poly(padded[::-1])
+        padded = self.ints + (0,) * (n + 1 - len(self.ints))
+        return Poly.from_ints(padded[::-1], self.den)
 
     def __call__(self, x):
         """The value at x, by ``horner``."""
@@ -193,34 +219,26 @@ class Poly:
     # -- presentation -------------------------------------------------
 
     def to_json_list(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        """str of each coefficient's Fraction, written from the stored form."""
+        d = self.den
+        return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.ints]
 
     @staticmethod
     def from_json_list(items: Iterable[str]) -> "Poly":
         return Poly(tuple(Fraction(s) for s in items))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                zk = "z" if k == 1 else f"z^{k}"
-                body = zk if mag == 1 else f"{mag}*{zk}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        for k, c in reversed([*enumerate(self.coeffs)]):
+            if c:
+                zk = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+                body = str(abs(c)) if not zk else zk if abs(c) == 1 else f"{abs(c)}*{zk}"
+                sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+                parts.append(sign + body)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
+        return f"Poly({self.to_json_list()})"
 
 
 @dataclass(frozen=True)
@@ -233,7 +251,11 @@ class KroneckerSpec:
     orders: tuple[int, ...]
 
     def __init__(self, orders: Iterable[int]):
-        orders = tuple(sorted(int(m) for m in orders))
+        orders = tuple(orders)
+        for m in orders:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise InvalidModulusError(f"orders must be integers, got {m!r}")
+        orders = tuple(sorted(orders))
         if not orders or any(m < 1 for m in orders):
             raise InvalidModulusError(f"orders must be positive integers, got {orders}")
         if len(set(orders)) != len(orders):

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from ramanujan_popuc.errors import (
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidPayloadError,
+    PopucError,
     SingularMomentError,
     TerminalMassError,
     UnimodularConstantTermError,
@@ -578,3 +580,103 @@ def test_from_json_dict_rejects_malformed_payloads():
             PopucSystem.from_json_dict(malformed)
         assert isinstance(info.value, ValueError)
         assert type(info.value.__cause__) is (cause or type(None))
+
+
+# -- the recurrence steps on the stored form ---------------------------------
+
+
+def textbook_step(coeffs, a):
+    """z * phi - a * phi^* on a Fraction list, coefficients ascending."""
+    n = len(coeffs) - 1
+    return tuple(
+        (coeffs[i - 1] if i else 0) - a * (coeffs[n - i] if i <= n else 0) for i in range(n + 2)
+    )
+
+
+def textbook_descent(coeffs):
+    """(phi, a) with coeffs = z * phi - a * phi^*, on a Fraction list."""
+    a = -coeffs[0]
+    num = [c + a * r for c, r in zip(coeffs, reversed(coeffs))]
+    return tuple(c / (1 - a * a) for c in num[1:]), a
+
+
+monic_rungs = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=30), min_size=0, max_size=6
+).map(lambda cs: [*cs, F(1)])
+reflections = st.fractions(min_value=-2, max_value=2, max_denominator=30) | st.sampled_from(
+    [F(1), F(-1), F(0)]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(coeffs=monic_rungs, a=reflections)
+def test_szego_steps_match_textbook_formulas(coeffs, a):
+    stepped = szego_step(Poly(coeffs), a)
+    assert stepped.coeffs == textbook_step(coeffs, a)
+    assert stepped.den > 0 and stepped.ints[-1] == stepped.den
+    assert gcd(*stepped.ints, stepped.den) == 1
+    if abs(a) == 1:
+        with pytest.raises(UnimodularConstantTermError):
+            inverse_szego_step(stepped)
+        return
+    phi, a_rec = inverse_szego_step(stepped)
+    expected_phi, expected_a = textbook_descent(list(stepped.coeffs))
+    assert phi.coeffs == expected_phi == tuple(coeffs)
+    assert a_rec == expected_a == a
+    assert phi.den > 0 and gcd(*phi.ints, phi.den) == 1
+
+
+@settings(deadline=None, max_examples=100)
+@given(coeffs=monic_rungs, sign=st.sampled_from([1, -1]))
+def test_descent_rejects_unimodular_constant_term(coeffs, sign):
+    if len(coeffs) < 2:
+        return
+    with pytest.raises(UnimodularConstantTermError, match="descent cannot continue"):
+        inverse_szego_step(Poly([F(sign), *coeffs[1:]]))
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [
+        (moments_from_cyclotomic(7), 6),
+        (moments_from_kronecker(KroneckerSpec([1, 2, 5])), 6),
+    ],
+    ids=["M=7", "orders=1,2,5"],
+)
+def test_wrong_szego_step_is_caught(monkeypatch, m, count):
+    """A recurrence step that is off by 1/101 in one coefficient below the
+    leading one, on one rung, makes the build fail."""
+    honest = opuc_core.szego_step
+    for n in range(1, count + 1):
+        for k in range(n):
+
+            def wrong(phi, a, n=n, k=k):
+                out = honest(phi, a)
+                if out.degree != n:
+                    return out
+                coeffs = list(out.coeffs)
+                coeffs[k] += F(1, 101)
+                return Poly(coeffs)
+
+            monkeypatch.setattr(opuc_core, "szego_step", wrong)
+            with pytest.raises(PopucError):
+                popuc_from_moments(m, count)
+    monkeypatch.setattr(opuc_core, "szego_step", honest)
+    popuc_from_moments(m, count)
+
+
+def test_moments_past_a_terminal_rung_with_rational_coefficients():
+    """Equal masses at e^{+-i theta} with cos theta = 1/4: sigma_n =
+    T_n(1/4), and the terminal rung z^2 - z/2 + 1 is not integral."""
+    sigma = [F(1), F(1, 4)]
+    while len(sigma) < 6:
+        sigma.append(2 * F(1, 4) * sigma[-1] - sigma[-2])
+    system = popuc_from_moments(MomentSequence(sigma=tuple(sigma)), 2)
+    assert system.terminal == P(1, F(-1, 2), 1)
+    tampered = MomentSequence(sigma=(*sigma[:5], sigma[5] + F(1, 101)))
+    message = (
+        f"sigma_5 = {sigma[5] + F(1, 101)}, but the terminal rung Phi_2 implies "
+        f"{sigma[5]} (explicit)"
+    )
+    with pytest.raises(TerminalMassError, match=re.escape(message)):
+        popuc_from_moments(tampered, 2)

@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic and the cyclotomic family constructors."""
 
+import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
@@ -210,3 +212,95 @@ def test_vieta_sweep():
         v = vieta_checks(m)
         assert v.kappa1_ok
         assert v.kappa2_ok is None or v.kappa2_ok
+
+
+# -- the stored form against a list-of-Fraction reference --------------------
+
+
+def ref(coeffs):
+    """Test-local reference: a tuple of Fractions with no trailing zero."""
+    cs = [F(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, b):
+    rem, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        q[i - len(b) + 1] = f
+        for j, y in enumerate(b):
+            rem[i - len(b) + 1 + j] -= f * y
+    return ref(q), ref(rem)
+
+
+def assert_stored(p: Poly, expected):
+    """p is in the stored form and reads as the reference coefficients."""
+    assert p.den > 0
+    assert gcd(*p.ints, p.den) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert p.coeffs == expected
+    assert all(type(c) is F for c in p.coeffs)
+
+
+# mixed denominators, and the zero polynomial among the small lists
+mixed_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+mixed_lists = st.lists(mixed_fractions | st.just(F(0)), min_size=0, max_size=7)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=mixed_lists, b=mixed_lists, c=mixed_fractions, k=st.integers(0, 4))
+def test_stored_form_matches_fraction_reference(a, b, c, k):
+    pa, pb, ra, rb = Poly(a), Poly(b), ref(a), ref(b)
+    assert_stored(pa, ra)
+    assert_stored(pb, rb)
+    assert_stored(pa + pb, ref_add(ra, rb))
+    assert_stored(pa - pb, ref_add(ra, tuple(-x for x in rb)))
+    assert_stored(-pa, tuple(-x for x in ra))
+    assert_stored(pa * c, ref(x * c for x in ra))
+    assert_stored(c * pa, ref(x * c for x in ra))
+    assert_stored(pa * pb, ref_mul(ra, rb))
+    assert_stored(pa.shift(k), ref((0,) * k + ra) if ra else ())
+    n = max(len(ra) - 1, 0) + k
+    assert_stored(pa.reversed(n), ref((ra + (F(0),) * (n + 1 - len(ra)))[::-1]))
+    assert_stored(pa.derivative(), ref(i * x for i, x in enumerate(ra) if i))
+    if rb:
+        q, r = pa.divmod(pb)
+        rq, rr = ref_divmod(ra, rb)
+        assert_stored(q, rq)
+        assert_stored(r, rr)
+    for i in range(-1, len(ra) + 2):
+        assert pa[i] == (ra[i] if 0 <= i < len(ra) else 0) and type(pa[i]) is F
+    assert (pa == pb) == (ra == rb)
+    assert hash(pa) == hash(ra)
+    assert pa.to_json_list() == [str(x) for x in ra]
+    assert Poly.from_ints(pa.ints, pa.den) == pa
+
+
+def test_stored_form_examples():
+    assert (Poly.zero().ints, Poly.zero().den) == ((), 1)
+    p = P(F(1, 2), F(-1, 3), 1)
+    assert (p.ints, p.den) == ((3, -2, 6), 6)
+    assert (Poly.from_ints([4, -2, 0, 0], -6).ints, Poly.from_ints([4, -2], -6).den) == ((-2, 1), 3)
+    assert Poly.from_ints([0, 0], -5) == Poly.zero()
+    assert hash(P(1, F(1, 2))) == hash((F(1), F(1, 2)))
+
+
+def test_kronecker_spec_rejects_non_integer_orders():
+    for bad in (2.5, "3", True, F(3), 3.0):
+        with pytest.raises(InvalidModulusError, match=re.escape(repr(bad))):
+            KroneckerSpec([1, bad])
