@@ -228,7 +228,7 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     The minors are independent of the Levinson loop in
     ``popuc_from_moments``: this function reads the moment table and
     nothing else.  It never forms a polynomial Phi_k, a coefficient a_k or
-    a norm h_k, and shares no code with ``szego_step`` or the Fraction
+    a norm h_k, and shares no code with ``szego_step`` or the ``Poly``
     arithmetic there.  A wrong a_n, rung or norm on that side changes the
     system's Delta (the products of the norms) but not these pivots, so
     ``PopucSystem.check_delta`` still compares two routes.  Over the
