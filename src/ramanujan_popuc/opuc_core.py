@@ -506,7 +506,7 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
     d, lower = terminal.degree, terminal.ints[:-1]
     sigma, scale = _scaled(m.sigma)
     for k in range(d + 1, m.max_index + 1):
-        # with Phi_d = C / E and sigma_t = S_t / D, D * E * implied sigma_k
+        # D * E times the sigma_k that Phi_d = C / E implies, for sigma_t = S_t / D
         implied = -sum(map(mul, lower, sigma[k - d :]))
         if implied != terminal.den * sigma[k]:
             raise TerminalMassError(
