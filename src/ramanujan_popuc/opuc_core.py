@@ -4,8 +4,9 @@ monic polynomials orthogonal on the unit circle.
 Everything is exact: moments are rationals, single determinants are
 computed by fraction-free Bareiss elimination on an integer-scaled
 matrix, the leading Toeplitz minors Delta_1..Delta_n all at once by
-fraction-free Schur elimination in O(n^2) (Bareiss 1969), and the ladder
-is built by a Levinson-style update of the fundamental recurrence
+Schur elimination in O(n^2) with one content gcd per step (Bareiss 1969,
+Collins 1967), and the ladder is built by a Levinson-style update of the
+fundamental recurrence
 
     Phi_{n+1}(z) = z * Phi_n(z) - a_n * Phi_n^*(z),
 
@@ -19,10 +20,12 @@ Public values (moments, coefficients, determinants, inner products) are
 always ``Fraction`` or ``Poly``.  Every inner loop instead runs on Python
 integers over one common denominator per moment vector (``_scaled``) or
 polynomial (a ``Poly``'s stored form), the fraction-free idea of Bareiss
-(1968): the minors, the annihilation check, the Gram matrix and Newton's
-identities take no gcd until a result leaves the loop, and the ladder
-recurrences (both directions, the Levinson inner product, the moments
-recovered from a ladder) one per rung.
+(1968): the ladder check, the Gram matrix and Newton's identities take
+no gcd until a result leaves the loop, and the Schur minors and the
+ladder recurrences (both directions, the Levinson inner product, the
+moments recovered from a ladder) one per step.  The ladder check is
+O(N^2): each rung against the recurrence from the one below, plus one
+inner product with the moments (``_verify_annihilation``).
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ class MomentSequence:
     def __post_init__(self):
         if not self.sigma:
             raise InsufficientMomentsError("a moment sequence needs sigma_0")
+        for k, s in enumerate(self.sigma):
+            if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
+                raise InvalidPayloadError(
+                    f"sigma_{k} is a {type(s).__name__}, not an int or a Fraction "
+                    f"({self.provenance})"
+                )
         if self.sigma[0] <= 0:
             raise SingularMomentError(f"sigma_0 must be positive, got {self.sigma[0]}")
 
@@ -199,31 +208,44 @@ def toeplitz_det(m: MomentSequence, n: int) -> Fraction:
 
 
 def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
-    """[Delta_1, ..., Delta_n] by fraction-free Schur elimination, O(n^2).
+    """[Delta_1, ..., Delta_n] by content-reduced Schur elimination, O(n^2).
 
     The recursion runs on the scaled moments S_t = D * sigma_t (D from
     ``_scaled``), whose k-th leading minor is D^k * Delta_k; call it P_k,
     with P_0 = 1.  For the monic orthogonal polynomial Phi_k of S and the
-    form <f, g> = sum f_i g_j S_{i-j}, it keeps two integer arrays
+    form <f, g> = sum f_i g_j S_{i-j}, the fraction-free Schur recursion
+    (Bareiss 1969) has two integer arrays
 
         E_k(j) = P_k * <Phi_k, z^j>    for -(n-1-k) <= j <= -1,
         F_k(j) = P_k * <Phi_k^*, z^j>  for -(n-1-k) <= j <= 0,
 
-    starting from E_0(j) = F_0(j) = S_{-j} (Phi_0 = 1).  The pivot F_k(0)
-    is P_k * h_k = P_{k+1}, the next minor.  With q = E_k(-1), the real
+    starting from E_0(j) = F_0(j) = S_{-j} (Phi_0 = 1).  F_k(0) is
+    P_k * h_k = P_{k+1}, the next minor.  With Q = E_k(-1), the real
     recurrence Phi_{k+1} = z Phi_k - a_k Phi_k^* and its reversal
-    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k, where a_k = q / P_{k+1}, give
+    Phi_{k+1}^* = Phi_k^* - a_k z Phi_k, where a_k = Q / P_{k+1}, give
 
-        E_{k+1}(j) = (P_{k+1} * E_k(j-1) - q * F_k(j)) / P_k,
-        F_{k+1}(j) = (P_{k+1} * F_k(j) - q * E_k(j-1)) / P_k,
+        P_k * E_{k+1}(j) = P_{k+1} * E_k(j-1) - Q * F_k(j),
+        P_k * F_{k+1}(j) = P_{k+1} * F_k(j) - Q * E_k(j-1),
 
-    O(n - k) operations per step.  Each division is exact: by Cramer's
-    rule P_{k+1} * Phi_{k+1} is the bordered determinant of the integer
-    matrix, so its coefficients (and those of its reversal) are integers,
-    and so are its inner products with the integer moments.  Nothing
-    else is divided, so no gcd is taken until a minor leaves as a
-    Fraction.  The recursion stops with SingularMomentError at the first
-    minor that is not positive (a zero one would be the next divisor).
+    O(n - k) operations per step.  E_k and F_k are integers: by Cramer's
+    rule P_k * Phi_k is the bordered determinant of the integer matrix, so
+    its coefficients (and those of its reversal) are integers, and so are
+    its inner products with the integer moments.  They grow with P_k, but
+    their content does not have to: this function keeps f = F_k / s and
+    e = E_k / s for a positive integer s (s = 1 at the start), the
+    primitive remainder-sequence idea of Collins (J. ACM 14, 1967).  The
+    pivot f[0] is P_{k+1} / s, and with q = e[0] the step forms
+
+        raw = pivot * f - q * e = (P_k / s^2) * F_{k+1}
+
+    (and its e twin).  Write P_k / s^2 = u / v in lowest terms, u > 0.
+    F_{k+1} is integral, so v divides it and raw = u * (F_{k+1} / v): the
+    division raw // u is exact and leaves F_{k+1} / v.  Dividing f and e
+    by their joint content g then leaves F_{k+1} / s' and E_{k+1} / s' with
+    s' = v * g, and Delta_{k+1} = P_{k+1} / D^{k+1} = s * pivot / D^{k+1}.
+    Dividing by u before the gcd keeps the gcd on short integers.  The
+    recursion stops with SingularMomentError at the first minor that is
+    not positive (a zero one would be the next divisor).
 
     The minors are independent of the Levinson loop in
     ``popuc_from_moments``: this function reads the moment table and
@@ -236,23 +258,30 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     (``toeplitz_det``), which the tests keep as the oracle.
     """
     ints, scale = _scaled_prefix(m, n)
-    # f[i] = F_k(-i), e[i] = E_k(-1 - i)
+    # f[i] = F_k(-i) / s, e[i] = E_k(-1 - i) / s
     f, e = ints, ints[1:]
     minors: list[Fraction] = []
-    prev = 1
+    s = prev = 1  # prev = P_k
     for k in range(n):
         pivot = f[0]
-        minors.append(Fraction(pivot, scale ** (k + 1)))
+        minor = s * pivot
+        minors.append(Fraction(minor, scale ** (k + 1)))
         if pivot <= 0:
             raise SingularMomentError(
                 f"Delta_{k + 1} = {minors[-1]} is not positive ({m.provenance})"
             )
-        q = e[0] if e else 0
+        if not e:
+            break
+        u, v = Fraction(prev, s * s).as_integer_ratio()
+        q = e[0]
         f, e = (
-            [(pivot * x - q * y) // prev for x, y in zip(f, e)],
-            [(pivot * y - q * x) // prev for x, y in zip(f[1:], e[1:])],
+            [(pivot * x - q * y) // u for x, y in zip(f, e)],
+            [(pivot * y - q * x) // u for x, y in zip(f[1:], e[1:])],
         )
-        prev = pivot
+        g = gcd(*f, *e) or 1
+        if g != 1:
+            f, e = [x // g for x in f], [y // g for y in e]
+        s, prev = v * g, minor
     return minors
 
 
@@ -520,24 +549,63 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     characterization of the ladder and holds for the terminal rung too
     (it vanishes on the support).
 
-    The sums run in integers: with sigma_t = S_t / D and Phi_n = C / E
-    over common denominators, D * E * <Phi_n, z^j> = sum_k C_k S_{k-j}.
-    Multiplying by the positive integer D * E does not change whether the
-    sum is zero, so exactly the ladders the rational sums reject are
-    rejected, and the message reports the same value Fraction(sum, D * E).
+    The check is O(N^2).  For each n >= 1 it asks two things of the rung
+    Phi_n, in integers over the common denominators Phi_{n-1} = B / E_b,
+    Phi_n = C / E and sigma_t = S_t / D:
+
+    (i)  Phi_n = z Phi_{n-1} - a Phi_{n-1}^* with a = -Phi_n(0) read from
+         the rung itself, deg Phi_{n-1} = n - 1 and deg Phi_n = n,
+         coefficient by coefficient:
+         C_k * E_b == B_{k-1} * E + C_0 * B_{n-1-k} (B_{-1} = 0);
+    (ii) <Phi_n, 1> = 0, that is sum_k C_k S_k == 0.
+
+    Why this is enough: the moments are real and symmetric, so
+    <Phi^*, z^j> = <Phi, z^{n-1-j}> for Phi of degree n - 1.  Hence if
+    Phi_{n-1} kills z^0..z^{n-2}, both z Phi_{n-1} and Phi_{n-1}^* kill
+    z^1..z^{n-1}, (i) carries that to Phi_n whatever a is, and (ii) adds
+    z^0.  From Phi_0 (which has nothing to kill), induction shows that a
+    ladder passing (i) and (ii) at every rung passes the direct check of
+    every <Phi_n, z^j>.  Conversely, let the rungs be monic of degree n
+    from Phi_0 = 1, as in every ladder, and the minors Delta_1..Delta_{N+1}
+    nonzero.  If every rung kills z^0..z^{n-1}, Phi_n is the unique monic
+    orthogonal polynomial of degree n, so it satisfies the recurrence with
+    a = a_{n-1} = -Phi_n(0), and (i) and (ii) hold.  Multiplying by the
+    positive integers E * E_b and D * E changes no verdict.
+
+    At the first rung that fails, the inner products <Phi_n, z^j> of that
+    rung alone are summed, and the first nonzero one is reported as
+    Fraction(sum, D * E) with its j.  The rungs below passed, so they kill
+    their z^j, and this is the message the direct check of every
+    <Phi_n, z^j> gives.  If there is none, the rung kills z^0..z^{n-1} but
+    breaks the recurrence, and that is reported as such.  With nonzero
+    minors this takes a rung that is not monic of degree n (the direct
+    check lets a multiple of Phi_n pass) or a Phi_0 other than 1.
     """
     count = len(phis)
-    sym, scale = _scaled_moments(m, count)
+    moments, _ = _scaled(m.at(k) for k in range(count))
     for n in range(1, count):
-        coeffs, rung_scale = phis[n].ints, phis[n].den
+        b, b_scale = phis[n - 1].ints, phis[n - 1].den
+        c, c_scale = phis[n].ints, phis[n].den
+        if len(c) == len(b) + 1 == n + 1:
+            shifted, star = (0, *b), (*b[::-1], 0)
+            if all(
+                ck * b_scale == bk * c_scale + c[0] * rk for ck, bk, rk in zip(c, shifted, star)
+            ) and not sum(map(mul, c, moments)):
+                continue
+        # the first failing rung: sum its inner products one by one
+        sym, scale = _scaled_moments(m, count)
         for j in range(n):
             start = count - 1 - j  # sym[start + k] = D * sigma_{k-j}
-            val = sum(map(mul, coeffs, sym[start : start + len(coeffs)]))
+            val = sum(map(mul, c, sym[start : start + len(c)]))
             if val:
                 raise InternalInconsistencyError(
-                    f"<Phi_{n}, z^{j}> = {Fraction(val, scale * rung_scale)} != 0 "
+                    f"<Phi_{n}, z^{j}> = {Fraction(val, scale * c_scale)} != 0 "
                     f"({m.provenance})"
                 )
+        raise InternalInconsistencyError(
+            f"Phi_{n} annihilates z^0..z^{n - 1} but is not z Phi_{n - 1} - a Phi_{n - 1}^*, "
+            f"a = -Phi_{n}(0) ({m.provenance})"
+        )
 
 
 def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
@@ -580,10 +648,15 @@ def popuc_from_moments(
     """Build the full ladder Phi_0..Phi_{N+1} from moments, N+1 = n_plus_1.
 
     The reflection coefficients come from a Levinson-style update
-    a_n = <z Phi_n, 1> / h_n; each rung is then verified to annihilate
-    z^0..z^{n-1} through the moment functional, and the Toeplitz minors
-    are computed independently by fraction-free Schur elimination and
-    matched against the system's Delta_n, the products of the norms h_n.
+    a_n = <z Phi_n, 1> / h_n.  The Toeplitz minors are computed
+    independently by content-reduced Schur elimination, which raises
+    unless all are positive, and matched against the system's Delta_n,
+    the products of the norms h_n.  Then each rung is verified to
+    annihilate z^0..z^{n-1} through the moment functional, in O(N^2) in
+    all: it must be z Phi_{n-1} - a Phi_{n-1}^* with a = -Phi_n(0) read
+    from the rung itself, and <Phi_n, 1> must vanish.  With positive
+    minors, by induction over the rungs, that is the same as every
+    <Phi_n, z^j> vanishing (``_verify_annihilation``).
     With paranoid=True every rung is additionally compared against the
     bordered-determinant formula, coefficient by coefficient.
 

@@ -224,6 +224,29 @@ def cubic_minors(m, n):
     return minors
 
 
+def exact_division_schur_minors(m, n):
+    """Reference for leading_toeplitz_minors: the fraction-free Schur
+    recursion without content reduction, in which every step divides by
+    the previous integer minor P_k exactly and the arrays carry P_k's
+    full size (f[i] = F_k(-i), e[i] = E_k(-1 - i))."""
+    scale = lcm(*(m.at(k).denominator for k in range(n)))
+    ints = [int(m.at(k) * scale) for k in range(n)]
+    f, e = ints, ints[1:]
+    minors = []
+    prev = 1
+    for k in range(n):
+        pivot = f[0]
+        minors.append(F(pivot, scale ** (k + 1)))
+        assert pivot > 0
+        q = e[0] if e else 0
+        f, e = (
+            [(pivot * x - q * y) // prev for x, y in zip(f, e)],
+            [(pivot * y - q * x) // prev for x, y in zip(f[1:], e[1:])],
+        )
+        prev = pivot
+    return minors
+
+
 def test_leading_minors_match_general_elimination_over_master_set(master_pairs):
     pairs, _ = master_pairs
     for pair in pairs.values():
@@ -233,6 +256,15 @@ def test_leading_minors_match_general_elimination_over_master_set(master_pairs):
             assert minors == cubic_minors(m, n)
             for k in {1, n // 2, n} - {0}:
                 assert minors[k - 1] == toeplitz_det(m, k)
+
+
+def test_content_reduced_minors_match_exact_division_schur():
+    m = moments_from_cyclotomic(401)
+    assert leading_toeplitz_minors(m, 400) == exact_division_schur_minors(m, 400)
+    pair = build_dual_pair(KroneckerSpec([1, 16, 17, 21, 31, 38]))
+    for system in (pair.ramanujan, pair.sturmian):
+        m, n = system.moments, system.n_max + 1
+        assert leading_toeplitz_minors(m, n) == exact_division_schur_minors(m, n)
 
 
 def test_criterion_7_weight_verification(master_pairs):

@@ -1,5 +1,6 @@
 """The moment-to-ladder engine: determinants, recurrence, orthogonality."""
 
+import random
 import re
 from fractions import Fraction as F
 from math import gcd
@@ -111,10 +112,11 @@ def newton_reference(charpoly: Poly, length: int):
     return tuple(s / d for s in p)
 
 
-def first_annihilation_defect(m: MomentSequence, phi: Poly):
-    """(j, <phi, z^j>) for the first j below deg(phi) with a nonzero
-    inner product, summed in Fractions; None when phi annihilates all."""
-    for j in range(phi.degree):
+def first_annihilation_defect(m: MomentSequence, phi: Poly, below: int | None = None):
+    """(j, <phi, z^j>) for the first j below deg(phi) (or below `below`)
+    with a nonzero inner product, summed in Fractions; None when phi
+    annihilates all."""
+    for j in range(phi.degree if below is None else below):
         val = sum(c * m.at(k - j) for k, c in enumerate(phi.coeffs))
         if val != 0:
             return j, val
@@ -195,6 +197,22 @@ def test_moment_sequence_validation():
     assert m.at(-1) == m.at(1) == F(1, 2)
     with pytest.raises(InsufficientMomentsError):
         m.at(2)
+
+
+@pytest.mark.parametrize(
+    "sigma, index, kind",
+    [
+        ((1, 0.5), 1, "float"),
+        ((1.0, F(1, 2)), 0, "float"),
+        (("1", "1/2"), 0, "str"),
+        ((F(1), F(-1, 4), True), 2, "bool"),
+        ((True,), 0, "bool"),
+    ],
+)
+def test_moment_sequence_rejects_entries_that_are_not_rational(sigma, index, kind):
+    message = f"sigma_{index} is a {kind}, not an int or a Fraction (explicit)"
+    with pytest.raises(InvalidPayloadError, match=re.escape(message)):
+        MomentSequence(sigma=sigma)
 
 
 # -- Toeplitz determinants ----------------------------------------------------
@@ -467,6 +485,103 @@ def test_annihilation_check_catches_every_perturbed_coefficient(m, count):
                 message = f"<Phi_{n}, z^{j}> = {val} != 0 ({m.provenance})"
                 with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
                     _verify_annihilation(m, tampered)
+
+
+def first_ladder_defect(m: MomentSequence, phis):
+    """(n, j, <Phi_n, z^j>) for the lowest rung that fails to annihilate
+    some z^j, j < n, by the Fraction reference; None for a sound ladder."""
+    for n in range(1, len(phis)):
+        defect = first_annihilation_defect(m, phis[n], below=n)
+        if defect:
+            return (n, *defect)
+    return None
+
+
+def assert_check_matches_reference(m: MomentSequence, phis):
+    defect = first_ladder_defect(m, phis)
+    assert defect, "the fault left every rung annihilating"
+    n, j, val = defect
+    message = f"<Phi_{n}, z^{j}> = {val} != 0 ({m.provenance})"
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        _verify_annihilation(m, phis)
+
+
+def _sturmian_moments(orders):
+    return build_dual_pair(KroneckerSpec(orders)).sturmian.moments
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        moments_from_cyclotomic(31),
+        moments_from_kronecker(KroneckerSpec([1, 2, 5, 7, 9])),
+        _sturmian_moments([1, 2, 5, 7]),
+    ],
+    ids=["M=31", "orders=1,2,5,7,9", "sturmian 1,2,5,7"],
+)
+def test_recurrence_check_catches_wrong_ladders(m):
+    """The O(N^2) check (recurrence plus <Phi_n, 1>) gives the verdict and
+    the message of the direct O(N^3) sums on faulty ladders: a recurrence
+    without the reversal, one a_n off by 1/97, and random perturbations of
+    one to three coefficients below the leading ones."""
+    system = popuc_from_moments(m, m.max_index)
+    phis, a = list(system.phis), list(system.verblunsky)
+    _verify_annihilation(m, phis)
+    assert first_ladder_defect(m, phis) is None
+
+    no_reversal = [Poly.one()]
+    for a_n in a:
+        no_reversal.append(P(0, 1) * no_reversal[-1] - no_reversal[-1] * a_n)
+    assert_check_matches_reference(m, no_reversal)
+
+    for off in range(len(a)):
+        shifted = [Poly.one()]
+        for n, a_n in enumerate(a):
+            shifted.append(szego_step(shifted[-1], a_n + (F(1, 97) if n == off else 0)))
+        assert_check_matches_reference(m, shifted)
+
+    rng = random.Random(f"perturb {m.provenance}")
+    for _ in range(40):
+        tampered = list(phis)
+        for _ in range(rng.randint(1, 3)):
+            n = rng.randrange(1, len(phis))
+            coeffs = list(tampered[n].coeffs)
+            delta = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 200))
+            coeffs[rng.randrange(n)] += delta
+            tampered[n] = Poly(coeffs)
+        assert_check_matches_reference(m, tampered)
+
+
+def test_recurrence_check_catches_rungs_of_the_wrong_degree():
+    # sigma_t = 0 unless 9 divides t, so <Phi_n, 1> alone misses these rungs
+    m = moments_from_cyclotomic(27)
+    phis = list(popuc_from_moments(m, 18).phis)
+    for n in range(9, 19):
+        tampered = [*phis[:n], phis[n] - P(*[0] * n, 1), *phis[n + 1 :]]
+        assert_check_matches_reference(m, tampered)
+    for n in range(8, 18):
+        tampered = [*phis[:n], phis[n] + P(*[0] * (n + 1), 1), *phis[n + 1 :]]
+        assert_check_matches_reference(m, tampered)
+
+
+def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
+    # two-point measure on +-1: Delta_3 = 0, so Phi_4 is not unique
+    two_point = moments_from_kronecker(KroneckerSpec([1, 2]), 4)
+    # a rung that is not monic: 98/97 Phi_5 annihilates what Phi_5 does
+    cyclotomic = moments_from_cyclotomic(31)
+    scaled = list(popuc_from_moments(cyclotomic, 30).phis)
+    scaled[5] = scaled[5] * F(98, 97)
+    for m, phis, n in (
+        (two_point, [P(1), P(0, 1), P(-1, 0, 1), P(0, -1, 0, 1), P(0, -1, -1, 1, 1)], 4),
+        (cyclotomic, scaled, 5),
+    ):
+        assert first_ladder_defect(m, phis) is None
+        message = (
+            f"Phi_{n} annihilates z^0..z^{n - 1} but is not z Phi_{n - 1} - a Phi_{n - 1}^*, "
+            f"a = -Phi_{n}(0) ({m.provenance})"
+        )
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            _verify_annihilation(m, phis)
 
 
 @pytest.mark.parametrize(
