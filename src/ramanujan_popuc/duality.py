@@ -12,6 +12,13 @@ proportional to 1/|Phi'_{N+1}(z_s)|^2.  Everything provable in Q is
 checked with exact rational equality; the per-root weight identities live
 at irrational spectral points and are corroborated in floating point
 (double precision by default, mpmath at any requested precision).
+
+A spectral point z_s of order m is a root of the cyclotomic polynomial
+C_m, so every value the weight identities need, C'(z_s) and Phi_N(z_s),
+equals the value at z_s of the rung's remainder modulo C_m.  That
+remainder is exact in Q (C_m is monic with integer coefficients) and has
+degree below phi(m) instead of N, so only the rounding of the evaluation
+changes, and it shrinks.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .opuc_core import (
     popuc_from_moments,
     szego_step,
 )
-from .polynomials import KroneckerSpec, Poly, horner, kronecker_poly
+from .polynomials import KroneckerSpec, Poly, cyclotomic, horner, kronecker_poly
 
 
 def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
@@ -189,7 +196,9 @@ def build_dual_pair(spec: KroneckerSpec, paranoid: bool = False) -> DualPair:
 class NumericRootSet:
     """The roots of a Kronecker polynomial, enumerated by exact angle
     2*pi*s/m over s coprime to m for each order m (never by iterative
-    root finding), then evaluated to the working precision."""
+    root finding), then evaluated to the working precision.  The roots
+    come grouped by order, in the order of the spec and of ``_root_angles``,
+    so each one can be paired with the cyclotomic factor it is a root of."""
 
     roots: tuple
     source: Poly
@@ -260,6 +269,14 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     * the product relation w_s * tw_s * |Phi'_{N+1}(z_s)|^2 = h_N closes
       the loop.
 
+    Both rungs are evaluated, at a root of order m, from their remainders
+    modulo C_m.  The division p = q * C_m + r is exact in Q[z] and z_s is a
+    root of C_m, so p(z_s) = r(z_s) exactly, and only the rounding differs
+    from Horner over the full degree-N rung.  For a single-order spec the
+    remainders are the rungs themselves.  A root where either value is
+    exactly zero (an order-1 or order-2 remainder is a constant) fails
+    with infinite residuals.
+
     Residuals are relative.  Raises WeightCheckFailureError (with the
     report attached) when any residual exceeds tol.
     """
@@ -272,9 +289,12 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
                 tol,
                 digits,
                 lambda fr: mpmath.mpf(fr.numerator) / fr.denominator,
-                mpmath.mpmathify,
+                lambda poly: [mpmath.mpmathify(c) for c in poly.coeffs],
             )
-    return _verify_weights_impl(pair, tol, None, float, complex)
+    # c / den is the correctly rounded quotient, as complex(Fraction(c, den)) is.
+    return _verify_weights_impl(
+        pair, tol, None, float, lambda poly: [complex(c / poly.den) for c in poly.ints]
+    )
 
 
 def _worst_residual(row: dict) -> float:
@@ -284,16 +304,37 @@ def _worst_residual(row: dict) -> float:
     return worst if row["sturmian_positive"] else max(worst, 1.0)
 
 
-def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeff) -> WeightReport:
+def _zero_row(z) -> dict:
+    """The row of a root where C'(z_s) or Phi_N(z_s) evaluates to zero:
+    conj(d) * p = (N+1) * h_N cannot hold there, no mass is defined, every
+    residual is infinite and the Sturmian mass does not count as positive."""
+    inf, nan = float("inf"), float("nan")
+    return {
+        "root": z,
+        "ramanujan_mass": nan,
+        "sturmian_mass": nan,
+        "equal_mass_residual": inf,
+        "ramanujan_imag_residual": inf,
+        "sturmian_imag_residual": inf,
+        "sturmian_positive": False,
+        "product_residual": inf,
+        "two_route_residual": inf,
+    }
+
+
+def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeffs) -> WeightReport:
     n1 = pair.charpoly.degree
     h_terminal = pair.ramanujan.h[-1]
-    # Each rung coefficient is converted once, by to_coeff.  The values are
-    # bit-identical to evaluating the Fraction rungs themselves: the Horner
-    # step `acc * z + c` converts a Fraction c the same way, to complex(c)
-    # against a complex z and by mpmath's convert (mpmathify) at the working
-    # precision against an mpc z.
-    deriv = [to_coeff(c) for c in pair.charpoly.derivative().coeffs]
-    phi_n_ram = [to_coeff(c) for c in pair.ramanujan.phis[n1 - 1].coeffs]
+    # Both rungs are evaluated from their remainders modulo the cyclotomic
+    # factor of each root's order, of degree < phi(m) instead of N.  Each
+    # remainder coefficient is converted once, the same way the Horner step
+    # `acc * z + c` converts a Fraction c.  When deg < phi(m), as for every
+    # single-order spec, the remainder is the rung itself and the values are
+    # bit-identical to Horner over the full rung.
+    rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
+    reduced = {
+        m: [to_coeffs(p.divmod(cyclotomic(m))[1]) for p in rungs] for m in pair.spec.orders
+    }
     roots = numeric_roots(pair.spec, digits=digits)
 
     h_num = to_num(h_terminal)
@@ -301,25 +342,31 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeff) -
     report = WeightReport(tol=tol)
     mass_sum = 0
     worst = 0.0
-    for z in roots.roots:
+    for z, (_, m) in zip(roots.roots, _root_angles(pair.spec)):
+        deriv, phi_n_ram = reduced[m]
         d_val = horner(deriv, z)
         p_val = horner(phi_n_ram, z)
-        w = h_num / (d_val.conjugate() * p_val)
-        tw = p_val / d_val
-        speed2 = (d_val * d_val.conjugate()).real
-        tw_sturm_route = h_num * n1 / speed2
-        row = {
-            "root": z,
-            "ramanujan_mass": w,
-            "sturmian_mass": tw,
-            "equal_mass_residual": float(abs(w - equal_mass) / equal_mass),
-            "ramanujan_imag_residual": float(abs(w.imag)),
-            "sturmian_imag_residual": float(abs(tw.imag)),
-            "sturmian_positive": tw.real > 0,
-            "product_residual": float(abs(w * tw * speed2 - h_num) / h_num),
-            "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
-        }
-        mass_sum += tw.real
+        if not (d_val and p_val):
+            # An order-1 or order-2 remainder is a constant, so a wrong rung
+            # can evaluate to an exact zero there.
+            row = _zero_row(z)
+        else:
+            w = h_num / (d_val.conjugate() * p_val)
+            tw = p_val / d_val
+            speed2 = (d_val * d_val.conjugate()).real
+            tw_sturm_route = h_num * n1 / speed2
+            row = {
+                "root": z,
+                "ramanujan_mass": w,
+                "sturmian_mass": tw,
+                "equal_mass_residual": float(abs(w - equal_mass) / equal_mass),
+                "ramanujan_imag_residual": float(abs(w.imag)),
+                "sturmian_imag_residual": float(abs(tw.imag)),
+                "sturmian_positive": tw.real > 0,
+                "product_residual": float(abs(w * tw * speed2 - h_num) / h_num),
+                "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
+            }
+            mass_sum += tw.real
         worst = max(worst, _worst_residual(row))
         report.rows.append(row)
 

@@ -2,6 +2,7 @@
 the floating-point weight identities at the spectral points."""
 
 import cmath
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,7 @@ from ramanujan_popuc.polynomials import (
     Poly,
     anti_cyclotomic,
     cyclotomic,
+    horner,
     kronecker_poly,
 )
 
@@ -270,3 +272,106 @@ def test_verify_weights_failure_carries_report():
         verify_weights(pair, tol=0.0)
     assert err.value.report is not None
     assert len(err.value.report.rows) == 4
+
+
+# -- weights from rungs reduced modulo each cyclotomic factor -------------------
+
+
+def _full_horner_rows(pair):
+    """The weight rows in double precision by Horner over the full degree-N
+    rungs at every root: the evaluation the reduction replaces."""
+    n1 = pair.charpoly.degree
+    deriv = [complex(c) for c in pair.charpoly.derivative().coeffs]
+    phi_n = [complex(c) for c in pair.ramanujan.phis[n1 - 1].coeffs]
+    h_num = float(pair.ramanujan.h[-1])
+    equal_mass = 1 / float(n1)
+    rows = []
+    for z in numeric_roots(pair.spec).roots:
+        d_val, p_val = horner(deriv, z), horner(phi_n, z)
+        w = h_num / (d_val.conjugate() * p_val)
+        tw = p_val / d_val
+        speed2 = (d_val * d_val.conjugate()).real
+        tw_sturm_route = h_num * n1 / speed2
+        rows.append(
+            {
+                "root": z,
+                "ramanujan_mass": w,
+                "sturmian_mass": tw,
+                "equal_mass_residual": float(abs(w - equal_mass) / equal_mass),
+                "ramanujan_imag_residual": float(abs(w.imag)),
+                "sturmian_imag_residual": float(abs(tw.imag)),
+                "sturmian_positive": tw.real > 0,
+                "product_residual": float(abs(w * tw * speed2 - h_num) / h_num),
+                "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
+            }
+        )
+    return rows
+
+
+def _with_phi_n(pair, phi_n):
+    """The pair with the Ramanujan ladder's Phi_N replaced by phi_n."""
+    n1 = pair.charpoly.degree
+    phis = pair.ramanujan.phis[: n1 - 1] + (phi_n,) + pair.ramanujan.phis[n1:]
+    return dataclasses.replace(pair, ramanujan=dataclasses.replace(pair.ramanujan, phis=phis))
+
+
+def test_single_order_weight_rows_are_bit_identical_to_full_horner():
+    # deg C' < phi(M) and deg Phi_N < phi(M): each remainder is the rung itself.
+    for m in range(1, 101):
+        pair = build_dual_pair(KroneckerSpec([m]))
+        rows = verify_weights(pair, tol=float("inf")).rows
+        assert rows == _full_horner_rows(pair), m
+
+
+@settings(deadline=None, max_examples=15)
+@given(orders=st.sets(st.integers(min_value=1, max_value=20), min_size=2, max_size=4))
+def test_reduced_and_direct_evaluation_agree_at_80_digits(orders):
+    import mpmath
+
+    pair = build_dual_pair(KroneckerSpec(orders))
+    n1 = pair.charpoly.degree
+    with mpmath.workdps(80):
+        rows = verify_weights(pair, tol=1e-40, digits=80).rows
+        deriv = [mpmath.mpmathify(c) for c in pair.charpoly.derivative().coeffs]
+        phi_n = [mpmath.mpmathify(c) for c in pair.ramanujan.phis[n1 - 1].coeffs]
+        h_num = mpmath.mpmathify(pair.ramanujan.h[-1])
+        for row in rows:
+            z = row["root"]
+            d_val, p_val = horner(deriv, z), horner(phi_n, z)
+            w = h_num / (d_val.conjugate() * p_val)
+            tw = p_val / d_val
+            assert abs(row["ramanujan_mass"] - w) < 1e-50 * abs(w)
+            assert abs(row["sturmian_mass"] - tw) < 1e-50 * abs(tw)
+
+
+def test_reduced_weights_pass_where_full_horner_lost_the_digits():
+    # Horner over the full rungs gave 5.7e-11 and 0.17 on these two specs.
+    wide = build_dual_pair(KroneckerSpec([7, 11, 13, 17, 19, 23, 29, 31]))
+    assert verify_weights(wide, tol=1e-18, digits=30).max_residual < 1e-18
+    dense = build_dual_pair(KroneckerSpec([1, 2, 3, 5, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18]))
+    assert verify_weights(dense, tol=1e-10).max_residual < 1e-10
+
+
+def test_perturbed_phi_n_coefficient_fails_at_30_digits():
+    pair = build_dual_pair(KroneckerSpec([1, 16, 17, 21, 31, 38]))
+    assert verify_weights(pair, tol=1e-12, digits=30).passed
+    n1 = pair.charpoly.degree
+    coeffs = list(pair.ramanujan.phis[n1 - 1].coeffs)
+    k = n1 // 2
+    assert coeffs[k] != 0
+    coeffs[k] *= 1 + F(1, 10**12)
+    with pytest.raises(WeightCheckFailureError):
+        verify_weights(_with_phi_n(pair, Poly(coeffs)), tol=1e-12, digits=30)
+
+
+@pytest.mark.parametrize("digits", [None, 30])
+def test_phi_n_vanishing_at_a_root_is_a_failing_row(digits):
+    # Phi_3 = z^3 + 1 reduces to the exact zero modulo C_2 = z + 1.
+    pair = _with_phi_n(build_dual_pair(KroneckerSpec([1, 2, 3])), P(1, 0, 0, 1))
+    with pytest.raises(WeightCheckFailureError, match=r"max residual inf; ") as err:
+        verify_weights(pair, tol=1e-12, digits=digits)
+    report = err.value.report
+    assert len(report.rows) == 4 and not report.passed
+    at_minus_one = report.rows[1]
+    assert at_minus_one["sturmian_positive"] is False
+    assert at_minus_one["product_residual"] == float("inf")
