@@ -35,7 +35,7 @@ from .errors import (
 )
 from .errors import InternalInconsistencyError
 from .number_theory import is_odd_prime, ramanujan_table
-from .opuc_core import moments_from_power_sums, toeplitz_det
+from .opuc_core import _schur_minors, moments_from_power_sums
 from .polynomials import KroneckerSpec, kronecker_poly
 
 USAGE_ERRORS = (
@@ -226,7 +226,19 @@ def cmd_explore(args) -> int:
 
 def _check_subject(spec: KroneckerSpec, closed_form=None) -> tuple[bool, str]:
     """Run the invariant suite over one spectral spec.  Returns (ok,
-    detail); detail names the first failed check."""
+    detail); detail names the first failed check.
+
+    Delta_{N+2} = 0 (the moments close into an (N+1)-point measure) is the
+    last pivot of the Schur recursion of ``leading_toeplitz_minors`` on the
+    power-sum moments sigma_0..sigma_{N+1}, O(N^2), and equals the Bareiss
+    determinant ``toeplitz_det`` of the same matrix.  The recursion stops
+    early only at a minor that is not positive, and it does not stop here:
+    ``build_dual_pair`` has shown Delta_1..Delta_{N+1} > 0 on the Ramanujan
+    moments sigma_0..sigma_N, and the power-sum moments are checked equal to
+    those first.  So it reaches step N+1, whose pivot is Delta_{N+2}.  Like
+    Bareiss, it reads only the moment table, so it stays independent of the
+    Levinson loop.  Should a lower minor still be non-positive, the check
+    fails naming that minor."""
     try:
         pair = build_dual_pair(spec)
         verify_weights(pair, tol=1e-10)
@@ -234,9 +246,9 @@ def _check_subject(spec: KroneckerSpec, closed_form=None) -> tuple[bool, str]:
         if power.sigma != pair.ramanujan.moments.sigma:
             return False, "power-sum moments disagree with Ramanujan-sum moments"
         n2 = spec.total_degree + 1
-        extended = moments_from_power_sums(pair.charpoly, n2)
-        if toeplitz_det(extended, n2) != 0:
-            return False, f"Delta_{n2} != 0"
+        *_, (k, minor) = enumerate(_schur_minors(power, n2), 1)
+        if (k, minor) != (n2, 0):
+            return False, f"Delta_{k} != 0" if k == n2 else f"Delta_{k} = {minor} is not positive"
         eng = pair.ramanujan
         if closed_form is not None and (
             closed_form.phis != eng.phis

@@ -198,10 +198,15 @@ class NumericRootSet:
     2*pi*s/m over s coprime to m for each order m (never by iterative
     root finding), then evaluated to the working precision.  The roots
     come grouped by order, in the order of the spec and of ``_root_angles``,
-    so each one can be paired with the cyclotomic factor it is a root of."""
+    so each one can be paired with the cyclotomic factor it is a root of.
+    ``source``, the Kronecker polynomial, is built only when read."""
 
     roots: tuple
-    source: Poly
+    spec: KroneckerSpec
+
+    @property
+    def source(self) -> Poly:
+        return kronecker_poly(self.spec)
 
     def __len__(self):
         return len(self.roots)
@@ -225,7 +230,7 @@ def numeric_roots(spec: KroneckerSpec, digits: int | None = None) -> NumericRoot
             roots = tuple(
                 mpmath.exp(2j * mpmath.pi * mpmath.mpf(s) / m) for s, m in angles
             )
-    return NumericRootSet(roots=roots, source=kronecker_poly(spec))
+    return NumericRootSet(roots=roots, spec=spec)
 
 
 @dataclass
@@ -288,13 +293,22 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
                 pair,
                 tol,
                 digits,
-                lambda fr: mpmath.mpf(fr.numerator) / fr.denominator,
-                lambda poly: [mpmath.mpmathify(c) for c in poly.coeffs],
+                lambda fr: _mpf_nearest(fr.numerator, fr.denominator),
+                lambda poly: [_mpf_nearest(c, poly.den) for c in poly.ints],
             )
     # c / den is the correctly rounded quotient, as complex(Fraction(c, den)) is.
     return _verify_weights_impl(
         pair, tol, None, float, lambda poly: [complex(c / poly.den) for c in poly.ints]
     )
+
+
+def _mpf_nearest(p: int, q: int):
+    """p / q (q > 0) rounded once, to the nearest mpmath float at the
+    working precision."""
+    import mpmath
+
+    mp, libmp = mpmath.mp, mpmath.libmp
+    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
 
 
 def _worst_residual(row: dict) -> float:
@@ -327,9 +341,10 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeffs) 
     h_terminal = pair.ramanujan.h[-1]
     # Both rungs are evaluated from their remainders modulo the cyclotomic
     # factor of each root's order, of degree < phi(m) instead of N.  Each
-    # remainder coefficient is converted once, the same way the Horner step
-    # `acc * z + c` converts a Fraction c.  When deg < phi(m), as for every
-    # single-order spec, the remainder is the rung itself and the values are
+    # remainder coefficient is converted once, correctly rounded; in double
+    # precision that is how the Horner step `acc * z + c` converts a
+    # Fraction c.  When deg < phi(m), as for every single-order spec, the
+    # remainder is the rung itself and the double-precision values are
     # bit-identical to Horner over the full rung.
     rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
     reduced = {

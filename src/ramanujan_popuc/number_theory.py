@@ -12,6 +12,8 @@ oracle for the other:
 * ``ramanujan_sum_fast`` evaluates the classical divisor-sum form
   sum_{d | gcd(n, M)} d * mu(M/d).
 
+A table of c_M(0..L) computes each residue mod M by both routes, once.
+
 No floating point is used anywhere.  M stays desk-scale, so factorization
 is plain trial division.
 """
@@ -148,15 +150,18 @@ class RamanujanTable:
 
 
 def ramanujan_table(m: int, length: int) -> RamanujanTable:
-    """Table of c_m(0..length), each entry computed by both routes.
+    """Table of c_m(0..length), each residue mod M computed by both routes.
 
-    Raises InternalInconsistencyError if the two methods ever disagree;
-    that indicates a bug in this module, not bad input.
+    Both routes reduce n mod m first, so one period n < min(length + 1, m)
+    is computed and then tiled.  Raises InternalInconsistencyError if the
+    two methods ever disagree; that indicates a bug in this module, not
+    bad input.
     """
     _check_modulus(m)
     if length < 0:
         raise InvalidModulusError(f"table length must be >= 0, got {length}")
-    return RamanujanTable(modulus=m, values=tuple(_checked_sum(m, n) for n in range(length + 1)))
+    period = [_checked_sum(m, n) for n in range(min(length + 1, m))]
+    return RamanujanTable(modulus=m, values=tuple(period[n % m] for n in range(length + 1)))
 
 
 def _checked_sum(m: int, n: int) -> int:

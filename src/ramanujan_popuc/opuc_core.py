@@ -257,21 +257,28 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     acceptance master set the result equals general Bareiss elimination
     (``toeplitz_det``), which the tests keep as the oracle.
     """
+    minors = list(_schur_minors(m, n))
+    if minors and minors[-1] <= 0:
+        raise SingularMomentError(
+            f"Delta_{len(minors)} = {minors[-1]} is not positive ({m.provenance})"
+        )
+    return minors
+
+
+def _schur_minors(m: MomentSequence, n: int):
+    """Yield Delta_1, ..., Delta_n by the recursion of
+    ``leading_toeplitz_minors``, stopping after the first minor that is
+    not positive."""
     ints, scale = _scaled_prefix(m, n)
     # f[i] = F_k(-i) / s, e[i] = E_k(-1 - i) / s
     f, e = ints, ints[1:]
-    minors: list[Fraction] = []
     s = prev = 1  # prev = P_k
     for k in range(n):
         pivot = f[0]
         minor = s * pivot
-        minors.append(Fraction(minor, scale ** (k + 1)))
-        if pivot <= 0:
-            raise SingularMomentError(
-                f"Delta_{k + 1} = {minors[-1]} is not positive ({m.provenance})"
-            )
-        if not e:
-            break
+        yield Fraction(minor, scale ** (k + 1))
+        if pivot <= 0 or not e:
+            return
         u, v = Fraction(prev, s * s).as_integer_ratio()
         q = e[0]
         f, e = (
@@ -282,7 +289,6 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
         if g != 1:
             f, e = [x // g for x in f], [y // g for y in e]
         s, prev = v * g, minor
-    return minors
 
 
 # ---------------------------------------------------------------------------

@@ -503,3 +503,40 @@ def test_verify_kronecker_enum_cap_is_noted_on_stderr(capsys):
     assert out13 == out12 and out12.endswith("298/298 verified\n")
     assert err12 == ""
     assert err13 == "note: kronecker-enum caps orders at 12, below --max-m 13\n"
+
+
+def _check_subject_on_stub(monkeypatch, charpoly, sigma):
+    """cli._check_subject on KroneckerSpec([1, 2]) with build_dual_pair
+    replaced by a stub pair of this charpoly and Ramanujan moments, and
+    the weight check by a no-op."""
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    from ramanujan_popuc import cli
+    from ramanujan_popuc.opuc_core import MomentSequence
+    from ramanujan_popuc.polynomials import KroneckerSpec, Poly
+
+    moments = MomentSequence(tuple(Fraction(s) for s in sigma))
+    stub = SimpleNamespace(charpoly=Poly(map(Fraction, charpoly)), ramanujan=SimpleNamespace(moments=moments))
+    monkeypatch.setattr(cli, "build_dual_pair", lambda spec: stub)
+    monkeypatch.setattr(cli, "verify_weights", lambda pair, tol: None)
+    return cli._check_subject(KroneckerSpec([1, 2]))
+
+
+def test_check_subject_catches_a_nonzero_delta_past_the_terminal(monkeypatch):
+    # z^2 + 1/4: roots +-i/2, power-sum moments (1, 0, -1/4), Delta_3 = 15/16
+    result = _check_subject_on_stub(monkeypatch, ["1/4", 0, 1], [1, 0, "-1/4"])
+    assert result == (False, "Delta_3 != 0")
+    # z^2 - 1, the two-point measure on +-1: Delta_3 = 0
+    assert _check_subject_on_stub(monkeypatch, [-1, 0, 1], [1, 0, 1]) == (True, "ok")
+
+
+def test_check_subject_names_a_lower_minor_that_is_not_positive(monkeypatch):
+    # (z - 2)(z - 3): moments (1, 5/2, 13/2), Delta_2 = -21/4; the Schur
+    # recursion stops there instead of reaching Delta_3
+    result = _check_subject_on_stub(monkeypatch, [6, -5, 1], [1, "5/2", "13/2"])
+    assert result == (False, "Delta_2 = -21/4 is not positive")
+    # z^2 - 2z - 1: moments (1, 1, 3), Delta_2 = 0 and Delta_3 = -4; a zero
+    # lower minor ends the recursion too, and must not pass for Delta_3
+    result = _check_subject_on_stub(monkeypatch, [-1, -2, 1], [1, 1, 3])
+    assert result == (False, "Delta_2 = 0 is not positive")

@@ -375,3 +375,30 @@ def test_phi_n_vanishing_at_a_root_is_a_failing_row(digits):
     at_minus_one = report.rows[1]
     assert at_minus_one["sturmian_positive"] is False
     assert at_minus_one["product_residual"] == float("inf")
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50])
+def test_mpmath_conversion_is_correctly_rounded(digits):
+    import random
+
+    import mpmath
+
+    from ramanujan_popuc.duality import _mpf_nearest
+
+    rng = random.Random(digits)
+    missed_by_mpmathify = 0
+    for _ in range(200):
+        p = rng.getrandbits(400) - (1 << 399)
+        q = rng.getrandbits(400) | 1
+        with mpmath.workdps(digits):
+            prec = mpmath.mp.prec
+            value = _mpf_nearest(p, q)
+            missed_by_mpmathify += mpmath.mpmathify(F(p, q)) != value
+        # reference: the quotient of the exact integers at twice the
+        # precision, then rounded to nearest at the working precision
+        with mpmath.workprec(2 * prec):
+            wide = mpmath.fdiv(p, q)
+        with mpmath.workprec(prec):
+            assert value == +wide, (p, q)
+    # the reference tells the two apart: mpmathify rounds down
+    assert missed_by_mpmathify > 50

@@ -9,8 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramanujan_popuc.errors import InvalidModulusError
+from ramanujan_popuc import number_theory
+from ramanujan_popuc.errors import InternalInconsistencyError, InvalidModulusError
 from ramanujan_popuc.number_theory import (
+    _checked_sum,
     euler_totient,
     is_odd_prime,
     mobius,
@@ -151,6 +153,25 @@ def test_table_invariants():
         assert all(abs(v) <= phi for v in t.values)
         assert all(t.values[n] == t.values[n % m] for n in range(len(t.values)))
         assert all(isinstance(v, int) for v in t.values)
+
+
+def test_table_is_both_routes_at_every_length():
+    for m in (1, 2, 5, 6, 12, 30):
+        for length in range(3 * m + 1):
+            values = ramanujan_table(m, length).values
+            assert values == tuple(_checked_sum(m, n) for n in range(length + 1)), (m, length)
+
+
+@pytest.mark.parametrize("route", ["ramanujan_sum_direct", "ramanujan_sum_fast"])
+def test_table_catches_routes_that_disagree_inside_the_first_period(monkeypatch, route):
+    # the table computes c_12(0..11) by both routes once and tiles them, so a
+    # disagreement at residue 5 surfaces for every length that reaches n = 5
+    honest = getattr(number_theory, route)
+    monkeypatch.setattr(number_theory, route, lambda m, n: honest(m, n) + (n % m == 5))
+    assert ramanujan_table(12, 4).values == (4, 0, 2, 0, -2)
+    for length in (5, 11, 12, 36):
+        with pytest.raises(InternalInconsistencyError, match=r"c_12\(5\)"):
+            ramanujan_table(12, length)
 
 
 def test_table_rejects_bad_input():

@@ -322,6 +322,22 @@ def test_leading_minors_match_determinants_on_random_moments(m):
         leading_toeplitz_minors(m, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(interior, max_size=12),
+    # the last coefficient: interior (Delta_n > 0), unimodular (the singular
+    # extension of an n-1 point measure, Delta_n = 0) or past the circle (< 0)
+    interior | st.sampled_from([F(1), F(-1)]) | st.sampled_from([F(3, 2), F(-7, 5)]),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+)
+def test_schur_minors_end_at_the_bareiss_determinant(coeffs, last, scale):
+    m = _moments_through_verblunsky([*coeffs, last], None, scale)
+    n = m.max_index + 1
+    minors = list(opuc_core._schur_minors(m, n))
+    assert minors == [toeplitz_det(m, k) for k in range(1, n + 1)]
+    assert (minors[-1] == 0) == (abs(last) == 1)
+
+
 # -- inner product ------------------------------------------------------------
 
 
