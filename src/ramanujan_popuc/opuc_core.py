@@ -25,7 +25,9 @@ no gcd until a result leaves the loop, and the Schur minors and the
 ladder recurrences (both directions, the Levinson inner product, the
 moments recovered from a ladder) one per step.  The ladder check is
 O(N^2): each rung against the recurrence from the one below, plus one
-inner product with the moments (``_verify_annihilation``).
+inner product with the moments (``_verify_annihilation``).  The Gram
+matrix is symmetric, so each pair is computed once: the lower-degree
+polynomial against the moment row of the higher-degree one.
 """
 
 from __future__ import annotations
@@ -296,6 +298,13 @@ def _schur_minors(m: MomentSequence, n: int):
 # ---------------------------------------------------------------------------
 
 
+def _moment_row(sym: list[int], mid: int, g: Poly, count: int) -> list[int]:
+    """[D * E * <z^k, g> for k < count <= mid + 1], g = G / E, deg g <= mid and
+    sym[mid + t] == D * sigma_t: sigma_{k-b} = sigma_{b-k} is sym[mid - k + b]."""
+    n = len(g.ints)
+    return [sum(map(mul, g.ints, sym[mid - k : mid - k + n])) for k in range(count)]
+
+
 def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
     """The sesquilinear form of the measure realized through its moments:
     <f, g> = sum_{j,k} f_j * g_k * sigma_{j-k}.
@@ -303,18 +312,15 @@ def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
     With real coefficients this equals the integral of
     f(e^{i theta}) * g(e^{-i theta}) against the measure, evaluated
     without materializing any root."""
-    if max(f.degree, g.degree) > m.max_index:
+    deg = max(f.degree, g.degree)
+    if deg > m.max_index:
         raise InsufficientMomentsError(
             f"inner product of degrees {f.degree}, {g.degree} needs moments up "
-            f"to index {max(f.degree, g.degree)}"
+            f"to index {deg}"
         )
-    deg = max(f.degree, g.degree)
-    fs, f_scale = f.ints, f.den
-    gs, g_scale = g.ints, g.den
     sym, scale = _scaled_moments(m, deg + 1)
-    # sym[deg + j - k] = D * sigma_{j-k} for k = 0, 1, ...
-    acc = sum(fj * sum(map(mul, gs, sym[deg + j :: -1])) for j, fj in enumerate(fs) if fj)
-    return Fraction(acc, f_scale * g_scale * scale)
+    acc = sum(map(mul, f.ints, _moment_row(sym, deg, g, len(f.ints))))
+    return Fraction(acc, f.den * g.den * scale)
 
 
 def szego_step(phi: Poly, a: Fraction) -> Poly:
@@ -739,18 +745,32 @@ def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:
 
 
 def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
-    """All pairwise inner products <p_i, p_j>, computed as P * S * P^T so
-    the cost stays cubic in the ladder size.  The product runs in integers
-    with each row over its own denominator E_i and the moments over D;
-    entry (i, j) is the integer result divided by D * E_i * E_j."""
+    """All pairwise inner products <p_i, p_j>, each pair computed once.
+
+    The moments are real with sigma_{-t} = sigma_t and the coefficients
+    are real, so <p_i, p_j> = <p_j, p_i> exactly: the matrix is symmetric
+    and only one half is computed.  The polynomials are visited in
+    ascending degree.  For each p_j = G / E_j, with the moments over D,
+    the integers w[k] = D * E_j * <z^k, p_j> for k <= deg p_j are formed
+    once (``_moment_row``), and for every p_i = F / E_i visited so far
+    (so deg p_i <= deg p_j), <p_i, p_j> = sum_k F_k w[k] / (D E_i E_j)
+    is stored at (i, j) and (j, i).  For a ladder of N + 1 rungs that is
+    about N^3/3 products for the rows w and N^3/6 for the sums, against
+    N^3 for the full product P * S * P^T, and (N + 1)^2 / 2 Fractions;
+    a zero entry is one shared Fraction(0), with no gcd."""
     deg = max((p.degree for p in polys), default=0)
     if deg > m.max_index:
         raise InsufficientMomentsError("Gram matrix needs moments up to the max degree")
     sym, scale = _scaled_moments(m, deg + 1)
-    rows = [(p.ints, p.den) for p in polys]
-    # mid[i][k] = D * E_i * sum_j p_i[j] * sigma_{j-k}, as sym[deg - k + j] = D * sigma_{j-k}
-    mid = [[sum(map(mul, r, sym[deg - k :])) for k in range(deg + 1)] for r, _ in rows]
-    return [
-        [Fraction(sum(map(mul, mid_i, r)), scale * e_i * e) for r, e in rows]
-        for mid_i, (_, e_i) in zip(mid, rows)
-    ]
+    zero = Fraction(0)
+    gram = [[zero] * len(polys) for _ in polys]
+    seen: list[int] = []
+    for j in sorted(range(len(polys)), key=lambda i: polys[i].degree):
+        p_j = polys[j]
+        w = _moment_row(sym, deg, p_j, len(p_j.ints))
+        seen.append(j)
+        for i in seen:
+            acc = sum(map(mul, polys[i].ints, w))
+            if acc:
+                gram[i][j] = gram[j][i] = Fraction(acc, scale * polys[i].den * p_j.den)
+    return gram

@@ -120,6 +120,10 @@ class Poly:
             return Fraction(self.ints[k], self.den)
         return Fraction(0)
 
+    # p[k] is 0 past the degree, so the sequence protocol would never
+    # stop: iteration and `in` raise TypeError; iterate ``coeffs`` instead
+    __iter__ = None
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.den == other.den and self.ints == other.ints
 

@@ -381,6 +381,54 @@ def test_gram_and_inner_product_match_fraction_reference(sigma_0, sigma, polys):
             assert inner_product(m, p, q) == reference[i][j]
 
 
+@st.composite
+def gram_inputs(draw):
+    """Moments sigma_0..sigma_L (L <= 6) and up to 8 polynomials of degree
+    <= L in any order, drawn from a small pool that holds the zero
+    polynomial, so duplicates and zeros land anywhere in the list."""
+    sigma_0 = draw(rationals.filter(lambda s: s > 0))
+    m = MomentSequence(sigma=(sigma_0, *draw(st.lists(rationals, max_size=6))))
+    coeff_lists = st.lists(rationals, max_size=m.max_index + 1)
+    pool = [*draw(st.lists(coeff_lists.map(Poly), min_size=1, max_size=4)), Poly.zero()]
+    return m, draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+@settings(deadline=None, max_examples=150)
+@given(inputs=gram_inputs(), position=st.integers(0, 8), lead=rationals.filter(bool))
+def test_gram_matrix_symmetric_half_matches_fraction_reference(inputs, position, lead):
+    m, polys = inputs
+    g = gram_matrix(m, polys)
+    assert g == gram_reference(m, polys)
+    assert all(g[i][j] == g[j][i] for i in range(len(polys)) for j in range(len(polys)))
+    too_high = Poly.monomial(m.max_index + 1, lead)
+    with pytest.raises(InsufficientMomentsError):
+        gram_matrix(m, [*polys[:position], too_high, *polys[position:]])
+
+
+@pytest.mark.parametrize(
+    "m, count",
+    [
+        (moments_from_cyclotomic(7), 6),
+        (moments_from_kronecker(KroneckerSpec([1, 2, 5])), 6),
+    ],
+    ids=["M=7", "orders=1,2,5"],
+)
+def test_gram_matrix_sees_a_perturbed_rung_in_its_row_and_column(m, count):
+    """Adding 1/101 * z^k (k < n) to Phi_n makes <Phi_n, Phi_k> = h_k / 101
+    nonzero; the Gram matrix, which computes each pair once, must show it
+    at both (n, k) and (k, n)."""
+    phis = list(popuc_from_moments(m, count).phis)
+    for n in range(1, count + 1):
+        for k in range(n):
+            coeffs = list(phis[n].coeffs)
+            coeffs[k] += F(1, 101)
+            tampered = [*phis[:n], Poly(coeffs), *phis[n + 1 :]]
+            g = gram_matrix(m, tampered)
+            assert any(g[n][j] for j in range(len(g)) if j != n)
+            assert any(g[i][n] for i in range(len(g)) if i != n)
+            assert g == gram_reference(m, tampered)
+
+
 # -- recurrence steps ---------------------------------------------------------
 
 

@@ -57,6 +57,14 @@ def test_normalization_and_zero():
     assert (P(1, 1) - P(1, 1)).is_zero
 
 
+@pytest.mark.parametrize("use", [lambda p: 3 in p, list, tuple, iter, lambda p: [*p]])
+def test_iteration_raises_instead_of_running_past_the_degree(use):
+    p = P(1, 2)
+    with pytest.raises(TypeError):
+        use(p)
+    assert p[5] == 0 and list(p.coeffs) == [1, 2]
+
+
 def test_divexact_examples():
     num = Poly.monomial(6) - Poly.one()
     assert num.divexact(P(1, -1, 1)) == P(-1, -1, 0, 1, 1)  # z^4+z^3-z-1
