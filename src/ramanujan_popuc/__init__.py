@@ -4,8 +4,6 @@ together with their mirror-dual Sturmian families, closed-form fixtures,
 and exact/numeric verification of all the identities connecting them."""
 
 from .closed_forms import (
-    FamilyId,
-    FamilyKind,
     cf_ramanujan_2p,
     cf_ramanujan_anti2p,
     cf_ramanujan_prime,
@@ -14,7 +12,6 @@ from .closed_forms import (
 )
 from .duality import (
     DualPair,
-    NumericRootSet,
     WeightReport,
     build_dual_pair,
     mirror_dual,
@@ -70,11 +67,9 @@ from .opuc_core import (
 from .polynomials import (
     KroneckerSpec,
     Poly,
-    VietaCheck,
     anti_cyclotomic,
     cyclotomic,
     kronecker_poly,
-    vieta_checks,
 )
 
 __version__ = "0.1.0"

@@ -8,12 +8,15 @@ authoritative: the interior formula for the equal-mass anti-cyclotomic
 family is used only up to degree p-1; the top rungs follow from the
 coefficient sequence by forward recurrence and are verified against the
 engine in the test suite.
+
+Each family is labelled "kind:parameter", for instance "ramanujan-prime:7"
+or "single-moment:0".  The four prime families raise NonPrimeError unless
+the parameter is an odd prime, and the single-moment family raises
+InvalidModulusError for a negative size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, InvalidModulusError, NonPrimeError
@@ -28,40 +31,11 @@ from .opuc_core import (
 from .polynomials import Poly
 
 
-class FamilyKind(str, Enum):
-    RAMANUJAN_PRIME = "ramanujan-prime"
-    RAMANUJAN_2P = "ramanujan-2p"
-    SINGLE_MOMENT = "single-moment"
-    STURMIAN_ANTI_2P = "sturmian-anti-2p"
-    RAMANUJAN_ANTI_2P = "ramanujan-anti-2p"
-
-
-_PRIME_KINDS = {
-    FamilyKind.RAMANUJAN_PRIME,
-    FamilyKind.RAMANUJAN_2P,
-    FamilyKind.STURMIAN_ANTI_2P,
-    FamilyKind.RAMANUJAN_ANTI_2P,
-}
-
-
-@dataclass(frozen=True)
-class FamilyId:
-    """Which explicit family, and its parameter (odd prime p, or the
-    ladder size N for the single-moment family)."""
-
-    kind: FamilyKind
-    parameter: int
-
-    def __post_init__(self):
-        if self.kind in _PRIME_KINDS:
-            if not is_odd_prime(self.parameter):
-                raise NonPrimeError(f"{self.kind.value} needs an odd prime, got {self.parameter}")
-        elif self.parameter < 0:
-            raise InvalidModulusError(f"single-moment size must be >= 0, got {self.parameter}")
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind.value}:{self.parameter}"
+def _odd_prime_label(kind: str, p: int) -> str:
+    """The label "kind:p" of a family indexed by an odd prime p."""
+    if not is_odd_prime(p):
+        raise NonPrimeError(f"{kind} needs an odd prime, got {p}")
+    return f"{kind}:{p}"
 
 
 def cf_ramanujan_prime(p: int) -> PopucSystem:
@@ -76,7 +50,7 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
     The closed-form determinants are matched against the system's own
     Delta_n, the products of the norms h_n.
     """
-    family = FamilyId(FamilyKind.RAMANUJAN_PRIME, p)
+    family = _odd_prime_label("ramanujan-prime", p)
     n_max = p - 2
     phis = [Poly.from_ints([1] * n + [n_max - n + 2], n_max - n + 2) for n in range(n_max + 2)]
     a = [Fraction(-1, n_max - n + 1) for n in range(n_max + 1)]
@@ -84,8 +58,8 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
         Fraction(p ** (n - 1) * (p - n), (p - 1) ** n) for n in range(1, n_max + 2)
     )
     sigma = (Fraction(1),) + (Fraction(-1, p - 1),) * (p - 1)
-    moments = MomentSequence(sigma=sigma, provenance=family.label)
-    system = PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    moments = MomentSequence(sigma=sigma, provenance=family)
+    system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
     system.check_delta(delta, "closed form")
     return system
 
@@ -99,15 +73,15 @@ def cf_ramanujan_2p(p: int) -> PopucSystem:
     The ladder is generated by forward recurrence from Phi_0 = 1; the
     test suite pins its terminal rung to the 2p-th cyclotomic polynomial.
     """
-    family = FamilyId(FamilyKind.RAMANUJAN_2P, p)
+    family = _odd_prime_label("ramanujan-2p", p)
     n_max = p - 2
     a = [Fraction((-1) ** n, n_max - n + 1) for n in range(n_max + 1)]
     phis = [Poly.one()]
     for a_n in a:
         phis.append(szego_step(phis[-1], a_n))
     sigma = (Fraction(1),) + tuple(Fraction((-1) ** (n + 1), p - 1) for n in range(1, p))
-    moments = MomentSequence(sigma=sigma, provenance=family.label)
-    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    moments = MomentSequence(sigma=sigma, provenance=family)
+    return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_single_moment(n_max: int) -> PopucSystem:
@@ -120,12 +94,14 @@ def cf_single_moment(n_max: int) -> PopucSystem:
     The terminal rung is z*Phi_N + Phi_N^* = z^{N+1} + ... + z + 1.
     Moments are recovered from the ladder itself.
     """
-    family = FamilyId(FamilyKind.SINGLE_MOMENT, n_max)
+    if n_max < 0:
+        raise InvalidModulusError(f"single-moment size must be >= 0, got {n_max}")
+    family = f"single-moment:{n_max}"
     phis = [Poly.from_ints(range(1, n + 2), n + 1) for n in range(n_max + 1)]
     a = [Fraction(-1, n + 2) for n in range(n_max)] + [Fraction(-1)]
     phis.append(szego_step(phis[-1], a[-1]))
-    moments = moments_from_ladder(phis, provenance=family.label)
-    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    moments = moments_from_ladder(phis, provenance=family)
+    return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_sturmian_anti2p(p: int) -> PopucSystem:
@@ -139,7 +115,7 @@ def cf_sturmian_anti2p(p: int) -> PopucSystem:
 
     Note the irregular a_0, which breaks the pattern of the later terms.
     """
-    family = FamilyId(FamilyKind.STURMIAN_ANTI_2P, p)
+    family = _odd_prime_label("sturmian-anti-2p", p)
     terminal = Poly([-1, -1] + [0] * (p - 2) + [1, 1])
     phis = [Poly.one(), Poly([1 - Fraction(1, p), 1])]
     for n in range(2, p + 1):
@@ -153,8 +129,8 @@ def cf_sturmian_anti2p(p: int) -> PopucSystem:
         + [Fraction((-1) ** n, 2 * p - n) for n in range(1, p)]
         + [Fraction(1)]
     )
-    moments = moments_from_ladder(phis, provenance=family.label)
-    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    moments = moments_from_ladder(phis, provenance=family)
+    return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
 def cf_ramanujan_anti2p(p: int) -> PopucSystem:
@@ -171,7 +147,7 @@ def cf_ramanujan_anti2p(p: int) -> PopucSystem:
     recurrence (the printed closed form does not extend to n = p: it
     breaks orthogonality there, see the test suite).
     """
-    family = FamilyId(FamilyKind.RAMANUJAN_ANTI_2P, p)
+    family = _odd_prime_label("ramanujan-anti-2p", p)
     z_plus_1 = Poly([1, 1])
     phis = []
     for n in range(p):
@@ -191,5 +167,5 @@ def cf_ramanujan_anti2p(p: int) -> PopucSystem:
         Fraction(p - 1, p + 1) if n == p else Fraction((-1) ** n, p + 1)
         for n in range(1, p + 2)
     ]
-    moments = MomentSequence(sigma=tuple(sigma), provenance=family.label)
-    return PopucSystem(family.label, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    moments = MomentSequence(sigma=tuple(sigma), provenance=family)
+    return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))

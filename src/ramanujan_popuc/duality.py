@@ -192,45 +192,25 @@ def build_dual_pair(spec: KroneckerSpec, paranoid: bool = False) -> DualPair:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericRootSet:
-    """The roots of a Kronecker polynomial, enumerated by exact angle
-    2*pi*s/m over s coprime to m for each order m (never by iterative
-    root finding), then evaluated to the working precision.  The roots
-    come grouped by order, in the order of the spec and of ``_root_angles``,
-    so each one can be paired with the cyclotomic factor it is a root of.
-    ``source``, the Kronecker polynomial, is built only when read."""
-
-    roots: tuple
-    spec: KroneckerSpec
-
-    @property
-    def source(self) -> Poly:
-        return kronecker_poly(self.spec)
-
-    def __len__(self):
-        return len(self.roots)
-
-
 def _root_angles(spec: KroneckerSpec) -> list[tuple[int, int]]:
     """(s, m) pairs with gcd(s, m) = 1, one per root e^{2*pi*i*s/m}."""
     return [(s, m) for m in spec.orders for s in range(1, m + 1) if gcd(s, m) == 1]
 
 
-def numeric_roots(spec: KroneckerSpec, digits: int | None = None) -> NumericRootSet:
-    """Roots of kronecker_poly(spec) at double precision, or at `digits`
-    significant digits via mpmath when requested."""
+def numeric_roots(spec: KroneckerSpec, digits: int | None = None) -> tuple:
+    """The roots of kronecker_poly(spec) at double precision, or at `digits`
+    significant digits via mpmath when requested.  They are enumerated by
+    exact angle 2*pi*s/m over s coprime to m for each order m (never by
+    iterative root finding), grouped by order in the order of
+    ``_root_angles``, so each one pairs with the cyclotomic factor it is a
+    root of."""
     angles = _root_angles(spec)
     if digits is None:
-        roots = tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in angles)
-    else:
-        import mpmath
+        return tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in angles)
+    import mpmath
 
-        with mpmath.workdps(digits):
-            roots = tuple(
-                mpmath.exp(2j * mpmath.pi * mpmath.mpf(s) / m) for s, m in angles
-            )
-    return NumericRootSet(roots=roots, spec=spec)
+    with mpmath.workdps(digits):
+        return tuple(mpmath.exp(2j * mpmath.pi * mpmath.mpf(s) / m) for s, m in angles)
 
 
 @dataclass
@@ -350,14 +330,13 @@ def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeffs) 
     reduced = {
         m: [to_coeffs(p.divmod(cyclotomic(m))[1]) for p in rungs] for m in pair.spec.orders
     }
-    roots = numeric_roots(pair.spec, digits=digits)
 
     h_num = to_num(h_terminal)
     equal_mass = 1 / to_num(Fraction(n1))
     report = WeightReport(tol=tol)
     mass_sum = 0
     worst = 0.0
-    for z, (_, m) in zip(roots.roots, _root_angles(pair.spec)):
+    for z, (_, m) in zip(numeric_roots(pair.spec, digits), _root_angles(pair.spec)):
         deriv, phi_n_ram = reduced[m]
         d_val = horner(deriv, z)
         p_val = horner(phi_n_ram, z)

@@ -140,11 +140,6 @@ class RamanujanTable:
     def __post_init__(self):
         _check_modulus(self.modulus)
 
-    def value(self, n: int) -> int:
-        """c_M(n) = c_M(|n| mod M), by both routes when it is not stored."""
-        k = abs(n) % self.modulus
-        return self.values[k] if k < len(self.values) else _checked_sum(self.modulus, k)
-
     def to_json_dict(self) -> dict:
         return {"modulus": self.modulus, "values": list(self.values)}
 

@@ -660,15 +660,16 @@ def popuc_from_moments(
     """Build the full ladder Phi_0..Phi_{N+1} from moments, N+1 = n_plus_1.
 
     The reflection coefficients come from a Levinson-style update
-    a_n = <z Phi_n, 1> / h_n.  The Toeplitz minors are computed
-    independently by content-reduced Schur elimination, which raises
-    unless all are positive, and matched against the system's Delta_n,
-    the products of the norms h_n.  Then each rung is verified to
-    annihilate z^0..z^{n-1} through the moment functional, in O(N^2) in
-    all: it must be z Phi_{n-1} - a Phi_{n-1}^* with a = -Phi_n(0) read
-    from the rung itself, and <Phi_n, 1> must vanish.  With positive
-    minors, by induction over the rungs, that is the same as every
-    <Phi_n, z^j> vanishing (``_verify_annihilation``).
+    a_n = <z Phi_n, 1> / h_n.  One Schur sweep over sigma_0..sigma_{N+1}
+    (the recursion of ``leading_toeplitz_minors``) finds the Toeplitz
+    minors independently.  Delta_1..Delta_{N+1} must be positive and equal
+    the system's Delta_n, the products of the norms h_n; the last pivot,
+    Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2), must be 0.  Then each rung
+    is verified to annihilate z^0..z^{n-1} through the moment functional,
+    in O(N^2) in all: it must be z Phi_{n-1} - a Phi_{n-1}^* with
+    a = -Phi_n(0) read from the rung itself, and <Phi_n, 1> must vanish.
+    With positive minors, by induction over the rungs, that is the same
+    as every <Phi_n, z^j> vanishing (``_verify_annihilation``).
     With paranoid=True every rung is additionally compared against the
     bordered-determinant formula, coefficient by coefficient.
 
@@ -688,8 +689,12 @@ def popuc_from_moments(
     if m.at(0) != 1:
         raise SingularMomentError("ladder construction expects sigma_0 = 1")
 
-    # Positivity of Delta_1..Delta_N+1 up front (one Schur sweep).
-    minors = leading_toeplitz_minors(m, n_terminal)
+    # Delta_1..Delta_{N+2}; the sweep stops early only at a minor that is not positive
+    minors = list(_schur_minors(m, n_terminal + 1))
+    if len(minors) <= n_terminal:
+        raise SingularMomentError(
+            f"Delta_{len(minors)} = {minors[-1]} is not positive ({m.provenance})"
+        )
 
     # sigma[k] = D * sigma_{k+1}, so D * E * <z Phi_n, 1> = sum_k C_k sigma[k] for Phi_n = C / E
     sigma, scale = _scaled(m.at(k + 1) for k in range(n_terminal))
@@ -720,7 +725,13 @@ def popuc_from_moments(
         phis=tuple(phis),
         verblunsky=VerblunskySequence(tuple(a)),
     )
+    *minors, last = minors
     system.check_delta(minors, "Toeplitz minors")
+    if last != 0:
+        raise InternalInconsistencyError(
+            f"Delta_{n_terminal + 1} = {last} by Toeplitz minors, but "
+            f"|a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
+        )
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
     if paranoid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import (
     DegreeBoundError,
@@ -22,12 +22,7 @@ from .errors import (
     InvalidModulusError,
     NonzeroRemainderError,
 )
-from .number_theory import (
-    divisors,
-    euler_totient,
-    mobius,
-    ramanujan_sum_fast,
-)
+from .number_theory import divisors, euler_totient
 
 
 def _as_fraction(x) -> Fraction:
@@ -166,12 +161,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by z^k."""
-        if self.is_zero:
-            return self
-        return Poly.from_ints((0,) * k + self.ints, self.den)
-
     def divmod(self, den: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean quotient and remainder (den nonzero) by pseudo-division
         of the numerators A and B: b^s A = Q B + R, b = B's lead, s steps."""
@@ -226,10 +215,6 @@ class Poly:
         """str of each coefficient's Fraction, written from the stored form."""
         d = self.den
         return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.ints]
-
-    @staticmethod
-    def from_json_list(items: Iterable[str]) -> "Poly":
-        return Poly(tuple(Fraction(s) for s in items))
 
     def __str__(self) -> str:
         parts = []
@@ -307,29 +292,3 @@ def kronecker_poly(spec: KroneckerSpec) -> Poly:
         out = out * cyclotomic(m)
     return out
 
-
-class VietaCheck(NamedTuple):
-    """Comparison of low-order cyclotomic coefficients against Ramanujan
-    sums: kappa_1 = -c_M(1) = -mu(M) and, when phi(M) >= 2,
-    kappa_2 = (c_M(1)^2 - c_M(2)) / 2."""
-
-    kappa1: Fraction
-    kappa1_expected: int
-    kappa1_ok: bool
-    kappa2: Fraction | None
-    kappa2_expected: Fraction | None
-    kappa2_ok: bool | None
-
-
-def vieta_checks(m: int) -> VietaCheck:
-    c = cyclotomic(m)
-    deg = c.degree
-    kappa1 = c[deg - 1]
-    k1_exp = -mobius(m)
-    if deg >= 2:
-        kappa2 = c[deg - 2]
-        k2_exp = Fraction(ramanujan_sum_fast(m, 1) ** 2 - ramanujan_sum_fast(m, 2), 2)
-        k2_ok = kappa2 == k2_exp
-    else:
-        kappa2 = k2_exp = k2_ok = None
-    return VietaCheck(kappa1, k1_exp, kappa1 == k1_exp, kappa2, k2_exp, k2_ok)

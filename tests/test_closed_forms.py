@@ -5,8 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from ramanujan_popuc.closed_forms import (
-    FamilyId,
-    FamilyKind,
     cf_ramanujan_2p,
     cf_ramanujan_anti2p,
     cf_ramanujan_prime,
@@ -44,15 +42,14 @@ def assert_systems_equal(left, right):
 
 
 def test_family_id_validation():
-    FamilyId(FamilyKind.RAMANUJAN_PRIME, 7)
-    for bad in (1, 2, 4, 9, 15):
-        with pytest.raises(NonPrimeError):
-            FamilyId(FamilyKind.RAMANUJAN_PRIME, bad)
-    with pytest.raises(NonPrimeError):
-        cf_ramanujan_2p(8)
-    with pytest.raises(InvalidModulusError):
-        FamilyId(FamilyKind.SINGLE_MOMENT, -1)
-    assert FamilyId(FamilyKind.SINGLE_MOMENT, 0).label == "single-moment:0"
+    assert cf_ramanujan_prime(7).family == "ramanujan-prime:7"
+    for cf in (cf_ramanujan_prime, cf_ramanujan_2p, cf_sturmian_anti2p, cf_ramanujan_anti2p):
+        for bad in (1, 2, 4, 8, 9, 15):
+            with pytest.raises(NonPrimeError, match=f"needs an odd prime, got {bad}$"):
+                cf(bad)
+    with pytest.raises(InvalidModulusError, match="single-moment size must be >= 0, got -1"):
+        cf_single_moment(-1)
+    assert cf_single_moment(0).family == "single-moment:0"
 
 
 # -- odd prime family ----------------------------------------------------------

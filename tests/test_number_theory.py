@@ -186,14 +186,3 @@ def test_is_odd_prime():
         3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
     ]
     assert not is_odd_prime(2)
-
-
-@pytest.mark.parametrize("m, length", [(6, 3), (12, 5), (7, 2), (1, 0), (6, 5), (6, 6), (10, 25)])
-def test_table_value_is_c_m_for_every_integer(m, length):
-    """value(n) reads c_M(|n| mod M) from the table, or computes it when the
-    table stops short of it; either way it is c_M(n)."""
-    table = ramanujan_table(m, length)
-    for n in range(-3 * m, 3 * m + 1):
-        assert table.value(n) == ramanujan_sum_direct(m, n), n
-    assert ramanujan_table(6, 3).value(-1) == 1
-    assert ramanujan_table(6, 3).value(4) == -1

@@ -181,7 +181,10 @@ def test_moments_from_power_sums_rejects():
 
 
 def test_power_sum_double_oracle_sweep():
-    for orders in ([1], [2], [4], [1, 2], [2, 3], [1, 2, 3], [3, 4, 5], [1, 6, 10], [12]):
+    # every single order to 120: Newton's identities tie each coefficient of
+    # C_m to the Ramanujan-sum moments, not only the top two (Vieta)
+    singles = [[m] for m in range(1, 121)]
+    for orders in (*singles, [1, 2], [2, 3], [1, 2, 3], [3, 4, 5], [1, 6, 10]):
         spec = KroneckerSpec(orders)
         L = spec.total_degree + 2
         assert (
@@ -501,6 +504,23 @@ def test_popuc_rejects_singular_and_open_moments():
         popuc_from_moments(moments_from_cyclotomic(5, 2), 4)
 
 
+def test_popuc_schur_sweep_stops_at_a_minor_that_is_not_positive():
+    def build(*sigma):
+        return popuc_from_moments(MomentSequence(tuple(F(s) for s in sigma)), 2)
+
+    # z^2 + 1/4: roots +-i/2, Delta_3 = 15/16 != 0, and |a_1| = 1/4
+    with pytest.raises(TerminalMassError):
+        build(1, 0, "-1/4")
+    # (z - 2)(z - 3): Delta_2 = -21/4, where the sweep stops
+    with pytest.raises(SingularMomentError, match=re.escape("Delta_2 = -21/4 is not positive")):
+        build(1, "5/2", "13/2")
+    # z^2 - 2z - 1: Delta_2 = 0 and Delta_3 = -4; a zero lower minor stops it too
+    with pytest.raises(SingularMomentError, match=re.escape("Delta_2 = 0 is not positive")):
+        build(1, 1, 3)
+    # z^2 - 1, the two-point measure on +-1: Delta_3 = 0 closes the ladder
+    assert build(1, 0, 1).terminal == P(-1, 0, 1)
+
+
 def test_determinant_formula_matches_recurrence():
     for m, count in (
         (moments_from_cyclotomic(9), euler_totient(9)),
@@ -649,28 +669,43 @@ def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
 
 
 @pytest.mark.parametrize(
-    "namespace, build",
+    "namespace, name, build",
     [
-        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
-        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10))),
+        (opuc_core, "_schur_minors", lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
+        (
+            duality,
+            "leading_toeplitz_minors",
+            lambda: sturmian_from_charpoly(anti_cyclotomic(10)),
+        ),
     ],
     ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
 )
-def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build):
+def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, name, build):
+    """Every Delta_k, k <= N+1, is matched against the norms; the Ramanujan
+    side also sweeps to Delta_{N+2}, which must be 0."""
     system = build()
-    for k in range(1, system.n_max + 2):
+    n2 = system.n_max + 2
+    minors_of = getattr(namespace, name)
+    last = n2 if name == "_schur_minors" else n2 - 1  # the Ramanujan side sweeps to N+2
+    for k in range(1, last + 1):
 
         def bumped(m, n, k=k):
-            minors = leading_toeplitz_minors(m, n)
+            minors = list(minors_of(m, n))
             minors[k - 1] += F(1, 101)
             return minors
 
-        monkeypatch.setattr(namespace, "leading_toeplitz_minors", bumped)
-        own = system.delta[k - 1]
-        message = (
-            f"Delta_{k} = {own + F(1, 101)} by Toeplitz minors, but {own} from the "
-            f"norms ({system.family})"
-        )
+        monkeypatch.setattr(namespace, name, bumped)
+        if k < n2:
+            own = system.delta[k - 1]
+            message = (
+                f"Delta_{k} = {own + F(1, 101)} by Toeplitz minors, but {own} from the "
+                f"norms ({system.family})"
+            )
+        else:
+            message = (
+                f"Delta_{n2} = 1/101 by Toeplitz minors, but |a_{system.n_max}| = 1 "
+                f"makes it 0 ({system.family})"
+            )
         with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
             build()
 

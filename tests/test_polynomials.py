@@ -15,14 +15,13 @@ from ramanujan_popuc.errors import (
     InvalidModulusError,
     NonzeroRemainderError,
 )
-from ramanujan_popuc.number_theory import divisors, euler_totient, mobius
+from ramanujan_popuc.number_theory import divisors, euler_totient
 from ramanujan_popuc.polynomials import (
     KroneckerSpec,
     Poly,
     anti_cyclotomic,
     cyclotomic,
     kronecker_poly,
-    vieta_checks,
 )
 
 
@@ -97,7 +96,7 @@ def test_evaluation():
 
 def test_json_round_trip():
     p = P(F(-1, 4), 0, F(2, 3), 1)
-    assert Poly.from_json_list(p.to_json_list()) == p
+    assert Poly(map(F, p.to_json_list())) == p
     assert p.to_json_list() == ["-1/4", "0", "2/3", "1"]
 
 
@@ -201,27 +200,6 @@ def test_kronecker_degree_and_constant_term():
         assert abs(k[0]) == 1  # all roots on the unit circle
 
 
-# -- Vieta comparisons ------------------------------------------------------
-
-
-def test_vieta_examples():
-    v5 = vieta_checks(5)
-    assert v5.kappa1 == 1 == -mobius(5) and v5.kappa1_ok
-    v6 = vieta_checks(6)
-    assert v6.kappa1 == -1 == -mobius(6) and v6.kappa1_ok
-    # kappa_2 of C_12 = z^4 - z^2 + 1 is -1; the Ramanujan-sum side is
-    # (c_12(1)^2 - c_12(2))/2 = (0 - 2)/2 computed by the independent route
-    v12 = vieta_checks(12)
-    assert v12.kappa2 == -1 and v12.kappa2_expected == -1 and v12.kappa2_ok
-
-
-def test_vieta_sweep():
-    for m in range(1, 121):
-        v = vieta_checks(m)
-        assert v.kappa1_ok
-        assert v.kappa2_ok is None or v.kappa2_ok
-
-
 # -- the stored form against a list-of-Fraction reference --------------------
 
 
@@ -282,7 +260,6 @@ def test_stored_form_matches_fraction_reference(a, b, c, k):
     assert_stored(pa * c, ref(x * c for x in ra))
     assert_stored(c * pa, ref(x * c for x in ra))
     assert_stored(pa * pb, ref_mul(ra, rb))
-    assert_stored(pa.shift(k), ref((0,) * k + ra) if ra else ())
     n = max(len(ra) - 1, 0) + k
     assert_stored(pa.reversed(n), ref((ra + (F(0),) * (n + 1 - len(ra)))[::-1]))
     assert_stored(pa.derivative(), ref(i * x for i, x in enumerate(ra) if i))
