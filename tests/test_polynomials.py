@@ -15,7 +15,12 @@ from ramanujan_popuc.errors import (
     InvalidModulusError,
     NonzeroRemainderError,
 )
-from ramanujan_popuc.number_theory import divisors, euler_totient
+from ramanujan_popuc.number_theory import (
+    divisors,
+    euler_totient,
+    mobius,
+    ramanujan_sum_direct,
+)
 from ramanujan_popuc.polynomials import (
     KroneckerSpec,
     Poly,
@@ -200,6 +205,32 @@ def test_kronecker_degree_and_constant_term():
         assert abs(k[0]) == 1  # all roots on the unit circle
 
 
+def vieta(m):
+    """C_m's top two elementary symmetric functions of the roots, read off
+    its coefficients, beside the Ramanujan-sum side: kappa_1 = c_m(1) and,
+    by Newton's identity, kappa_2 = (c_m(1)^2 - c_m(2))/2.  kappa_2 is
+    None when phi(m) < 2."""
+    c, phi = cyclotomic(m), euler_totient(m)
+    kappa1 = -c[phi - 1]
+    c1, c2 = ramanujan_sum_direct(m, 1), ramanujan_sum_direct(m, 2)
+    if phi < 2:
+        return kappa1, c1, None, None
+    return kappa1, c1, c[phi - 2], F(c1 * c1 - c2, 2)
+
+
+def test_vieta_examples():
+    assert vieta(5)[:2] == (-1, -1) and mobius(5) == -1
+    assert vieta(6)[:2] == (1, 1) and mobius(6) == 1
+    # kappa_2 of C_12 = z^4 - z^2 + 1 is -1; the Ramanujan-sum side is
+    # (c_12(1)^2 - c_12(2))/2 = (0 - 2)/2
+    assert vieta(12) == (0, 0, -1, -1)
+
+
+def test_vieta_sweep():
+    for m in range(1, 121):
+        kappa1, c1, kappa2, expected2 = vieta(m)
+        assert kappa1 == c1 == mobius(m)
+        assert kappa2 == expected2
 # -- the stored form against a list-of-Fraction reference --------------------
 
 
