@@ -19,6 +19,14 @@ equals the value at z_s of the rung's remainder modulo C_m.  That
 remainder is exact in Q (C_m is monic with integer coefficients) and has
 degree below phi(m) instead of N, so only the rounding of the evaluation
 changes, and it shrinks.
+
+With ``digits``, the remainders are not evaluated by Horner's rule in
+mpmath.  One fixed-point table of the m-th roots of unity, 2^b * e^{2 pi i
+j/m} rounded to integers, serves every root of order m; a value is the
+exact integer sum of the remainder's integer numerators against that
+table, divided by its denominator and 2^b and rounded once.  The table is
+the only approximation, and b runs 16 + bit_length(N+1) bits above the
+working precision, so the residuals sit at the working precision.
 """
 
 from __future__ import annotations
@@ -27,12 +35,14 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import (
     DualityViolationError,
     InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
+    InvalidModulusError,
     TerminalMassError,
     UnimodularConstantTermError,
     WeightCheckFailureError,
@@ -197,13 +207,23 @@ def _root_angles(spec: KroneckerSpec) -> list[tuple[int, int]]:
     return [(s, m) for m in spec.orders for s in range(1, m + 1) if gcd(s, m) == 1]
 
 
+def _check_digits(digits) -> None:
+    """digits is None (double precision) or an int >= 1, not a bool."""
+    if digits is not None and (
+        isinstance(digits, bool) or not isinstance(digits, int) or digits < 1
+    ):
+        raise InvalidModulusError(f"digits must be an int >= 1 or None, got {digits!r}")
+
+
 def numeric_roots(spec: KroneckerSpec, digits: int | None = None) -> tuple:
     """The roots of kronecker_poly(spec) at double precision, or at `digits`
     significant digits via mpmath when requested.  They are enumerated by
     exact angle 2*pi*s/m over s coprime to m for each order m (never by
     iterative root finding), grouped by order in the order of
     ``_root_angles``, so each one pairs with the cyclotomic factor it is a
-    root of."""
+    root of.  digits other than None or an int >= 1 raises
+    InvalidModulusError."""
+    _check_digits(digits)
     angles = _root_angles(spec)
     if digits is None:
         return tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in angles)
@@ -262,9 +282,29 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     exactly zero (an order-1 or order-2 remainder is a constant) fails
     with infinite residuals.
 
+    In double precision each remainder is evaluated by Horner's rule.  With
+    `digits`, r = C / E (integer numerators C_k, denominator E) is summed
+    exactly against the fixed-point table (X_j, Y_j) of ``_unit_table`` at
+    b = prec + 16 + bit_length(N+1) bits:
+
+        r(z_s) ~ (sum_k C_k X_{sk mod m} + i sum_k C_k Y_{sk mod m}) / (E 2^b).
+
+    Each table entry is within one unit of 2^b e^{2 pi i j/m} in each part,
+    so before its one rounding to nearest each part of the value is within
+    ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of that of r(z_s).  Horner at the
+    working precision prec is bounded by about 2 deg(r) ||r||_1 2^-prec,
+    over 2^16 (N+1) times more when deg(r) >= 1.  The row's root is the
+    table point itself, rounded once.
+
     Residuals are relative.  Raises WeightCheckFailureError (with the
-    report attached) when any residual exceeds tol.
+    report attached) when any residual exceeds tol.  Raises
+    InvalidModulusError, before any work, when digits is neither None nor
+    an int >= 1.
     """
+    _check_digits(digits)
+    n1 = pair.charpoly.degree
+    rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
+    reduced = {m: [_remainder(p, m) for p in rungs] for m in pair.spec.orders}
     if digits is not None:
         import mpmath
 
@@ -272,14 +312,99 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
             return _verify_weights_impl(
                 pair,
                 tol,
-                digits,
                 lambda fr: _mpf_nearest(fr.numerator, fr.denominator),
-                lambda poly: [_mpf_nearest(c, poly.den) for c in poly.ints],
+                _table_values(pair.spec, reduced, n1),
             )
-    # c / den is the correctly rounded quotient, as complex(Fraction(c, den)) is.
-    return _verify_weights_impl(
-        pair, tol, None, float, lambda poly: [complex(c / poly.den) for c in poly.ints]
-    )
+    # Each remainder coefficient is converted once, correctly rounded (c / den
+    # is, as complex(Fraction(c, den)) is): that is how the Horner step
+    # `acc * z + c` converts a Fraction c, so where the remainder is the rung
+    # itself the values are bit-identical to Horner over the full rung.
+    coeffs = {
+        m: [[complex(c / r.den) for c in r.ints] for r in rems] for m, rems in reduced.items()
+    }
+    points = [
+        (z, horner(coeffs[m][0], z), horner(coeffs[m][1], z))
+        for z, (_, m) in zip(numeric_roots(pair.spec), _root_angles(pair.spec))
+    ]
+    return _verify_weights_impl(pair, tol, float, points)
+
+
+def _remainder(p: Poly, m: int) -> Poly:
+    """p modulo C_m.  C_m divides z^m - 1, so p is first folded modulo
+    z^m - 1 (exponent k onto k mod m); that leaves the remainder unchanged
+    and the division takes at most m - phi(m) steps instead of N."""
+    if len(p.ints) > m:
+        folded = [0] * m
+        for k, c in enumerate(p.ints):
+            folded[k % m] += c
+        p = Poly.from_ints(folded, p.den)
+    return p.divmod(cyclotomic(m))[1]
+
+
+def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
+    """The m-th roots of unity in fixed point: lists X, Y of m integers,
+    X[j] and Y[j] each within one unit of 2^bits cos(2 pi j/m) and
+    2^bits sin(2 pi j/m).
+
+    One cos/sin of 2 pi/m at g = bits + bit_length(m) + 4 bits gives the
+    generator w to within 2 units of 2^-g in each part; w^j, j <= m/2, is
+    w^{j-1} * w rounded to those units, so its error grows by under 4 units
+    a step and stays below 2m < 2^{g-bits} / 8 units.  Rounding to `bits`
+    adds at most half a unit.
+    X[0], Y[0] = 2^bits, 0 exactly, and the upper half is the exact
+    conjugate of the lower: X[m-j] = X[j], Y[m-j] = -Y[j].
+    """
+    import mpmath
+
+    g = bits + m.bit_length() + 4
+    with mpmath.workprec(g):
+        angle = 2 * mpmath.pi / m
+        wx, wy = (int(mpmath.nint(mpmath.ldexp(f(angle), g))) for f in (mpmath.cos, mpmath.sin))
+    half, shift = 1 << (g - 1), g - bits
+    out_half = 1 << (shift - 1)
+    x, y = 1 << g, 0
+    xs, ys = [1 << bits], [0]
+    for _ in range(m // 2):
+        x, y = (x * wx - y * wy + half) >> g, (x * wy + y * wx + half) >> g
+        xs.append((x + out_half) >> shift)
+        ys.append((y + out_half) >> shift)
+    mirror = slice((m - 1) // 2, 0, -1)
+    xs.extend(xs[mirror])
+    ys.extend([-v for v in ys[mirror]])
+    return xs, ys
+
+
+def _table_values(spec: KroneckerSpec, reduced: dict, n1: int) -> list:
+    """(z_s, C'(z_s), Phi_N(z_s)) at every root, in the order of
+    ``_root_angles``, as mpmath values at the working precision:
+    ``reduced[m]`` holds the two remainders modulo C_m, each value is an
+    exact integer sum over ``_unit_table`` rounded once to nearest, and an
+    exact zero stays an exact zero (see ``verify_weights``)."""
+    import mpmath
+
+    mp, libmp = mpmath.mp, mpmath.libmp
+    prec, rnd = mp.prec, libmp.round_nearest
+    bits = prec + 16 + n1.bit_length()
+
+    def nearest(x: int, y: int, den: int):
+        """(x + iy) / (den 2^bits), each part rounded once to nearest."""
+        if den == 1:  # the roots and every C' value: a shift, no division
+            parts = (libmp.from_man_exp(v, -bits, prec, rnd) for v in (x, y))
+        else:
+            parts = (libmp.from_rational(v, den << bits, prec, rnd) for v in (x, y))
+        return mp.make_mpc(tuple(parts))
+
+    tables = {m: _unit_table(m, bits) for m in spec.orders}
+    points = []
+    for s, m in _root_angles(spec):
+        xs, ys = tables[m]
+        idx = [s * k % m for k in range(max(len(r.ints) for r in reduced[m]))]
+        xg, yg = [xs[i] for i in idx], [ys[i] for i in idx]
+        values = [
+            nearest(sum(map(mul, r.ints, xg)), sum(map(mul, r.ints, yg)), r.den) for r in reduced[m]
+        ]
+        points.append((nearest(xs[s % m], ys[s % m], 1), *values))
+    return points
 
 
 def _mpf_nearest(p: int, q: int):
@@ -316,30 +441,17 @@ def _zero_row(z) -> dict:
     }
 
 
-def _verify_weights_impl(pair: DualPair, tol: float, digits, to_num, to_coeffs) -> WeightReport:
+def _verify_weights_impl(pair: DualPair, tol: float, to_num, points) -> WeightReport:
+    """The residuals of ``verify_weights`` from (z_s, C'(z_s), Phi_N(z_s))
+    at every root; to_num converts a Fraction at the points' precision."""
     n1 = pair.charpoly.degree
     h_terminal = pair.ramanujan.h[-1]
-    # Both rungs are evaluated from their remainders modulo the cyclotomic
-    # factor of each root's order, of degree < phi(m) instead of N.  Each
-    # remainder coefficient is converted once, correctly rounded; in double
-    # precision that is how the Horner step `acc * z + c` converts a
-    # Fraction c.  When deg < phi(m), as for every single-order spec, the
-    # remainder is the rung itself and the double-precision values are
-    # bit-identical to Horner over the full rung.
-    rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
-    reduced = {
-        m: [to_coeffs(p.divmod(cyclotomic(m))[1]) for p in rungs] for m in pair.spec.orders
-    }
-
     h_num = to_num(h_terminal)
     equal_mass = 1 / to_num(Fraction(n1))
     report = WeightReport(tol=tol)
     mass_sum = 0
     worst = 0.0
-    for z, (_, m) in zip(numeric_roots(pair.spec, digits), _root_angles(pair.spec)):
-        deriv, phi_n_ram = reduced[m]
-        d_val = horner(deriv, z)
-        p_val = horner(phi_n_ram, z)
+    for z, d_val, p_val in points:
         if not (d_val and p_val):
             # An order-1 or order-2 remainder is a constant, so a wrong rung
             # can evaluate to an exact zero there.

@@ -22,6 +22,7 @@ from ramanujan_popuc.errors import (
     InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
+    InvalidModulusError,
     WeightCheckFailureError,
 )
 from ramanujan_popuc.closed_forms import cf_ramanujan_anti2p
@@ -362,6 +363,52 @@ def test_perturbed_phi_n_coefficient_fails_at_30_digits():
     coeffs[k] *= 1 + F(1, 10**12)
     with pytest.raises(WeightCheckFailureError):
         verify_weights(_with_phi_n(pair, Poly(coeffs)), tol=1e-12, digits=30)
+
+
+def test_thirty_digits_deliver_residuals_at_the_working_precision():
+    # Horner in mpmath gave 2.5e-26 at M = 211 and 5.6e-21 on the eight primes.
+    pair = build_dual_pair(KroneckerSpec([211]))
+    assert verify_weights(pair, tol=1e-28, digits=30).passed
+    wide = build_dual_pair(KroneckerSpec([7, 11, 13, 17, 19, 23, 29, 31]))
+    assert verify_weights(wide, tol=1e-28, digits=30).max_residual < 1e-28
+    n1 = pair.charpoly.degree
+    coeffs = list(pair.ramanujan.phis[n1 - 1].coeffs)
+    k = n1 // 2
+    assert coeffs[k] != 0
+    coeffs[k] *= 1 + F(1, 10**26)
+    with pytest.raises(WeightCheckFailureError):
+        verify_weights(_with_phi_n(pair, Poly(coeffs)), tol=1e-28, digits=30)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 80])
+def test_unit_table_is_within_one_unit_of_the_roots_of_unity(digits):
+    import mpmath
+
+    from ramanujan_popuc.duality import _unit_table
+
+    with mpmath.workdps(digits):
+        prec = mpmath.mp.prec
+    for m in [*range(1, 131), 211, 401, 797]:
+        bits = prec + 16 + m.bit_length()  # the kernel's bits for N+1 = m
+        xs, ys = _unit_table(m, bits)
+        assert len(xs) == len(ys) == m
+        assert (xs[0], ys[0]) == (1 << bits, 0)
+        assert all(xs[m - j] == xs[j] and ys[m - j] == -ys[j] for j in range(1, m)), m
+        # reference: e^{2 pi i j/m} at twice the bits, scaled exactly by 2^bits
+        with mpmath.workprec(2 * bits):
+            for j in range(m):
+                z = mpmath.expjpi(mpmath.mpf(2 * j) / m)
+                x, y = mpmath.ldexp(z.real, bits), mpmath.ldexp(z.imag, bits)
+                assert abs(xs[j] - x) <= 1 and abs(ys[j] - y) <= 1, (m, j)
+
+
+@pytest.mark.parametrize("digits", [0, -3, 2.5, True, "30"])
+def test_digits_other_than_a_positive_int_are_rejected(digits):
+    pair = build_dual_pair(KroneckerSpec([5]))
+    with pytest.raises(InvalidModulusError, match="digits must be an int >= 1"):
+        verify_weights(pair, digits=digits)
+    with pytest.raises(InvalidModulusError, match="digits must be an int >= 1"):
+        numeric_roots(pair.spec, digits=digits)
 
 
 @pytest.mark.parametrize("digits", [None, 30])
