@@ -25,8 +25,9 @@ mpmath.  One fixed-point table of the m-th roots of unity, 2^b * e^{2 pi i
 j/m} rounded to integers, serves every root of order m; a value is the
 exact integer sum of the remainder's integer numerators against that
 table, divided by its denominator and 2^b and rounded once.  The table is
-the only approximation, and b runs 16 + bit_length(N+1) bits above the
-working precision, so the residuals sit at the working precision.
+the only approximation: b runs 16 + bit_length(N+1) bits above the
+working precision, and each value is within ||r||_1 * 2^-b of the exact
+one, an absolute bound (see ``verify_weights``).
 """
 
 from __future__ import annotations
@@ -207,30 +208,13 @@ def _root_angles(spec: KroneckerSpec) -> list[tuple[int, int]]:
     return [(s, m) for m in spec.orders for s in range(1, m + 1) if gcd(s, m) == 1]
 
 
-def _check_digits(digits) -> None:
-    """digits is None (double precision) or an int >= 1, not a bool."""
-    if digits is not None and (
-        isinstance(digits, bool) or not isinstance(digits, int) or digits < 1
-    ):
-        raise InvalidModulusError(f"digits must be an int >= 1 or None, got {digits!r}")
-
-
-def numeric_roots(spec: KroneckerSpec, digits: int | None = None) -> tuple:
-    """The roots of kronecker_poly(spec) at double precision, or at `digits`
-    significant digits via mpmath when requested.  They are enumerated by
-    exact angle 2*pi*s/m over s coprime to m for each order m (never by
-    iterative root finding), grouped by order in the order of
+def numeric_roots(spec: KroneckerSpec) -> tuple:
+    """The roots of kronecker_poly(spec) at double precision.  They are
+    enumerated by exact angle 2*pi*s/m over s coprime to m for each order m
+    (never by iterative root finding), grouped by order in the order of
     ``_root_angles``, so each one pairs with the cyclotomic factor it is a
-    root of.  digits other than None or an int >= 1 raises
-    InvalidModulusError."""
-    _check_digits(digits)
-    angles = _root_angles(spec)
-    if digits is None:
-        return tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in angles)
-    import mpmath
-
-    with mpmath.workdps(digits):
-        return tuple(mpmath.exp(2j * mpmath.pi * mpmath.mpf(s) / m) for s, m in angles)
+    root of."""
+    return tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in _root_angles(spec))
 
 
 @dataclass
@@ -293,18 +277,23 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     so before its one rounding to nearest each part of the value is within
     ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of that of r(z_s).  Horner at the
     working precision prec is bounded by about 2 deg(r) ||r||_1 2^-prec,
-    over 2^16 (N+1) times more when deg(r) >= 1.  The row's root is the
-    table point itself, rounded once.
+    over 2^16 (N+1) times more when deg(r) >= 1.  The bound is absolute:
+    where r(z_s) cancels to far below ||r||_1, its relative error, and so
+    the residuals, grow by that factor.  The row's root is the table point
+    itself, rounded once.
 
     Residuals are relative.  Raises WeightCheckFailureError (with the
     report attached) when any residual exceeds tol.  Raises
     InvalidModulusError, before any work, when digits is neither None nor
     an int >= 1.
     """
-    _check_digits(digits)
+    if digits is not None and (
+        isinstance(digits, bool) or not isinstance(digits, int) or digits < 1
+    ):
+        raise InvalidModulusError(f"digits must be an int >= 1 or None, got {digits!r}")
     n1 = pair.charpoly.degree
     rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
-    reduced = {m: [_remainder(p, m) for p in rungs] for m in pair.spec.orders}
+    reduced = {m: [p.divmod(cyclotomic(m))[1] for p in rungs] for m in pair.spec.orders}
     if digits is not None:
         import mpmath
 
@@ -327,18 +316,6 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
         for z, (_, m) in zip(numeric_roots(pair.spec), _root_angles(pair.spec))
     ]
     return _verify_weights_impl(pair, tol, float, points)
-
-
-def _remainder(p: Poly, m: int) -> Poly:
-    """p modulo C_m.  C_m divides z^m - 1, so p is first folded modulo
-    z^m - 1 (exponent k onto k mod m); that leaves the remainder unchanged
-    and the division takes at most m - phi(m) steps instead of N."""
-    if len(p.ints) > m:
-        folded = [0] * m
-        for k, c in enumerate(p.ints):
-            folded[k % m] += c
-        p = Poly.from_ints(folded, p.den)
-    return p.divmod(cyclotomic(m))[1]
 
 
 def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
@@ -382,28 +359,24 @@ def _table_values(spec: KroneckerSpec, reduced: dict, n1: int) -> list:
     exact zero stays an exact zero (see ``verify_weights``)."""
     import mpmath
 
-    mp, libmp = mpmath.mp, mpmath.libmp
-    prec, rnd = mp.prec, libmp.round_nearest
-    bits = prec + 16 + n1.bit_length()
-
-    def nearest(x: int, y: int, den: int):
-        """(x + iy) / (den 2^bits), each part rounded once to nearest."""
-        if den == 1:  # the roots and every C' value: a shift, no division
-            parts = (libmp.from_man_exp(v, -bits, prec, rnd) for v in (x, y))
-        else:
-            parts = (libmp.from_rational(v, den << bits, prec, rnd) for v in (x, y))
-        return mp.make_mpc(tuple(parts))
-
+    bits = mpmath.mp.prec + 16 + n1.bit_length()
     tables = {m: _unit_table(m, bits) for m in spec.orders}
     points = []
     for s, m in _root_angles(spec):
         xs, ys = tables[m]
         idx = [s * k % m for k in range(max(len(r.ints) for r in reduced[m]))]
         xg, yg = [xs[i] for i in idx], [ys[i] for i in idx]
-        values = [
-            nearest(sum(map(mul, r.ints, xg)), sum(map(mul, r.ints, yg)), r.den) for r in reduced[m]
-        ]
-        points.append((nearest(xs[s % m], ys[s % m], 1), *values))
+        sums = [(xs[s % m], ys[s % m], 1)]
+        sums += [(sum(map(mul, r.ints, xg)), sum(map(mul, r.ints, yg)), r.den) for r in reduced[m]]
+        # (x + iy) / (den 2^bits), each part rounded once to nearest
+        points.append(
+            tuple(
+                mpmath.mp.make_mpc(
+                    (_mpf_nearest(x, den << bits)._mpf_, _mpf_nearest(y, den << bits)._mpf_)
+                )
+                for x, y, den in sums
+            )
+        )
     return points
 
 

@@ -407,8 +407,6 @@ def test_digits_other_than_a_positive_int_are_rejected(digits):
     pair = build_dual_pair(KroneckerSpec([5]))
     with pytest.raises(InvalidModulusError, match="digits must be an int >= 1"):
         verify_weights(pair, digits=digits)
-    with pytest.raises(InvalidModulusError, match="digits must be an int >= 1"):
-        numeric_roots(pair.spec, digits=digits)
 
 
 @pytest.mark.parametrize("digits", [None, 30])
