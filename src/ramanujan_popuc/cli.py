@@ -1,10 +1,8 @@
 """Command-line surface: compute, verify, and export everything the
-library builds, in human, JSON, or CSV form.
-
-Every subcommand except verify prints through one emitter, ``_emit``,
-which builds only the form the chosen format needs.  verify repeats no
-exact check of the builders: per spec it adds the weights, the power-sum
-oracle and the closed form to what ``build_dual_pair`` proves.
+library builds, in human, JSON, or CSV form.  Every subcommand but
+verify prints through ``_emit``, which builds only the form the chosen
+format needs.  Per spec, verify adds the weights, the power-sum oracle
+and the closed form to what ``build_dual_pair`` proves.
 
 Exit codes: 0 = success / all checks verified, 1 = a mathematical check
 failed, 2 = usage error.  Rationals are always rendered exactly as
@@ -22,6 +20,8 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
+from itertools import combinations
 
 from .closed_forms import cf_ramanujan_2p, cf_ramanujan_anti2p, cf_ramanujan_prime
 from .duality import (
@@ -30,11 +30,11 @@ from .duality import (
 from .errors import (
     DuplicateOrderError,
     InsufficientMomentsError,
+    InternalInconsistencyError,
     InvalidModulusError,
     NonPrimeError,
     PopucError,
 )
-from .errors import InternalInconsistencyError
 from .number_theory import is_odd_prime, ramanujan_table
 from .opuc_core import moments_from_power_sums
 from .polynomials import KroneckerSpec, kronecker_poly
@@ -225,15 +225,11 @@ def cmd_explore(args) -> int:
 
 
 def _check_subject(spec: KroneckerSpec, closed_form=None) -> tuple[bool, str]:
-    """Run the invariant suite over one spectral spec.  Returns (ok,
-    detail); detail names the first failed check.
-
-    ``build_dual_pair`` proves the exact identities of both ladders,
-    including Delta_{N+2} = 0, the last pivot of the builder's own Schur
-    sweep over sigma_0..sigma_{N+1}.  On top of that the weights are
-    checked in double precision, the moments against the power sums of
-    the roots (an oracle independent of the Ramanujan sums) and the
-    ladder against its closed form, if any."""
+    """Run the invariant suite over one spectral spec; (ok, detail), detail
+    naming the first failed check.  On top of the exact identities that
+    ``build_dual_pair`` proves (Delta_{N+2} = 0 included), it checks the
+    weights in double precision, the moments against the power sums of the
+    roots (independent of the Ramanujan sums) and the closed form, if any."""
     try:
         pair = build_dual_pair(spec)
         verify_weights(pair, tol=1e-10)
@@ -257,23 +253,17 @@ def cmd_verify(args) -> int:
         raise InvalidModulusError(f"--max-m must be >= 1, got {args.max_m}")
     subjects: list[tuple[str, KroneckerSpec, object]] = []
     fams = args.families
+    primes = [p for p in range(3, args.max_m + 1) if is_odd_prime(p)]
+    halves = [p for p in primes if 2 * p <= args.max_m]
     if fams in ("prime", "all"):
-        for p in range(3, args.max_m + 1):
-            if is_odd_prime(p):
-                subjects.append((f"prime M={p}", KroneckerSpec([p]), cf_ramanujan_prime(p)))
+        subjects += [(f"prime M={p}", KroneckerSpec([p]), cf_ramanujan_prime(p)) for p in primes]
     if fams in ("2p", "all"):
-        for p in range(3, args.max_m // 2 + 1):
-            if is_odd_prime(p):
-                subjects.append((f"2p M={2 * p}", KroneckerSpec([2 * p]), cf_ramanujan_2p(p)))
+        subjects += [(f"2p M={2 * p}", KroneckerSpec([2 * p]), cf_ramanujan_2p(p)) for p in halves]
     if fams in ("anti2p", "all"):
-        for p in range(3, args.max_m // 2 + 1):
-            if is_odd_prime(p):
-                subjects.append(
-                    (f"anti-2p p={p}", KroneckerSpec([1, 2, p]), cf_ramanujan_anti2p(p))
-                )
+        subjects += [
+            (f"anti-2p p={p}", KroneckerSpec([1, 2, p]), cf_ramanujan_anti2p(p)) for p in halves
+        ]
     if fams in ("kronecker-enum", "all"):
-        from itertools import combinations
-
         top = min(args.max_m, 12)
         if args.max_m > top:
             note = f"note: kronecker-enum caps orders at {top}, below --max-m {args.max_m}"
@@ -306,13 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_format = _default_format(parser)
 
     def add_format(p):
         p.add_argument(
             "--format",
             choices=FORMATS,
-            default=default_format,
             help="output format (default from RAMANUJAN_POPUC_FORMAT, else table)",
         )
 
@@ -372,9 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)  # one per process: each parser leaves cycles for the collector
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
+    default_format = _default_format(parser)
     args = parser.parse_args(argv)
+    if getattr(args, "format", "") is None:
+        args.format = default_format
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:

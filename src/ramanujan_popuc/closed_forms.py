@@ -47,20 +47,18 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
         Delta_n = p^{n-1} (p - n) / (p - 1)^n,
         sigma_n = -1 / (p - 1)  for 1 <= n <= p - 1.
 
-    The closed-form determinants are matched against the system's own
-    Delta_n, the products of the norms h_n.
+    The closed-form determinants, as the integers (p - 1)^n Delta_n, are
+    matched against the system's own Delta_n, the products of the norms h_n.
     """
     family = _odd_prime_label("ramanujan-prime", p)
     n_max = p - 2
     phis = [Poly.from_ints([1] * n + [n_max - n + 2], n_max - n + 2) for n in range(n_max + 2)]
     a = [Fraction(-1, n_max - n + 1) for n in range(n_max + 1)]
-    delta = tuple(
-        Fraction(p ** (n - 1) * (p - n), (p - 1) ** n) for n in range(1, n_max + 2)
-    )
+    pivots = [p ** (n - 1) * (p - n) for n in range(1, n_max + 2)]
     sigma = (Fraction(1),) + (Fraction(-1, p - 1),) * (p - 1)
     moments = MomentSequence(sigma=sigma, provenance=family)
     system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
-    system.check_delta(delta, "closed form")
+    system.check_delta(pivots, "closed form", p - 1)
     return system
 
 

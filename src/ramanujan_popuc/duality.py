@@ -15,19 +15,11 @@ at irrational spectral points and are corroborated in floating point
 
 A spectral point z_s of order m is a root of the cyclotomic polynomial
 C_m, so every value the weight identities need, C'(z_s) and Phi_N(z_s),
-equals the value at z_s of the rung's remainder modulo C_m.  That
-remainder is exact in Q (C_m is monic with integer coefficients) and has
-degree below phi(m) instead of N, so only the rounding of the evaluation
-changes, and it shrinks.
-
-With ``digits``, the remainders are not evaluated by Horner's rule in
-mpmath.  One fixed-point table of the m-th roots of unity, 2^b * e^{2 pi i
-j/m} rounded to integers, serves every root of order m; a value is the
-exact integer sum of the remainder's integer numerators against that
-table, divided by its denominator and 2^b and rounded once.  The table is
-the only approximation: b runs 16 + bit_length(N+1) bits above the
-working precision, and each value is within ||r||_1 * 2^-b of the exact
-one, an absolute bound (see ``verify_weights``).
+equals the value at z_s of the rung's exact remainder modulo C_m, of
+degree below phi(m): only the rounding changes, and it shrinks.  With
+``digits`` that remainder is summed exactly in integers against a
+fixed-point table of the m-th roots of unity and rounded once, so the
+table is the only approximation (see ``verify_weights``).
 """
 
 from __future__ import annotations
@@ -52,8 +44,8 @@ from .opuc_core import (
     PopucSystem,
     VerblunskySequence,
     _check_rungs_by_determinants,
+    _schur_minors,
     inverse_szego_step,
-    leading_toeplitz_minors,
     moments_from_kronecker,
     moments_from_ladder,
     popuc_from_moments,
@@ -66,15 +58,13 @@ def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
     """The mirror map ta_n = -a_N * a_{N-n-1} with a_{-1} = -1.
 
     Real case: conjugation is the identity.  The map is an involution
-    because a_N^2 = 1, and it fixes the terminal coefficient."""
-    a_terminal = v[v.n_max]
-    if abs(a_terminal) != 1:
+    because a_N^2 = 1, and it fixes the terminal coefficient.  With
+    a_N = +-1 the product is a negation or nothing."""
+    a_terminal, n = v[v.n_max], v.n_max
+    if abs(a_terminal.numerator) != a_terminal.denominator:
         raise TerminalMassError("mirror map needs |a_N| = 1")
-    n = v.n_max
-    mirrored = [
-        -a_terminal * (v[n - k - 1] if k < n else Fraction(-1)) for k in range(n + 1)
-    ]
-    return VerblunskySequence(tuple(mirrored))
+    chain = (*reversed(v.a[:n]), Fraction(-1))  # a_{N-1}, ..., a_0, a_{-1}
+    return VerblunskySequence(tuple(-x for x in chain) if a_terminal > 0 else chain)
 
 
 def sturmian_from_charpoly(
@@ -93,7 +83,7 @@ def sturmian_from_charpoly(
     n1 = charpoly.degree  # N + 1
     if n1 < 1 or not charpoly.is_monic:
         raise InvalidCharacteristicError("characteristic polynomial must be monic, degree >= 1")
-    if abs(charpoly[0]) != 1:
+    if abs(charpoly.ints[0]) != charpoly.den:
         raise InvalidCharacteristicError(
             f"|constant term| = {abs(charpoly[0])} != 1: roots cannot all lie on the circle"
         )
@@ -118,7 +108,7 @@ def sturmian_from_charpoly(
             f"descent failed below degree {current.degree}: {exc}"
         ) from exc
     for a_k in coeffs[1:]:
-        if abs(a_k) >= 1:
+        if abs(a_k.numerator) >= a_k.denominator:
             raise InteriorCoefficientOutOfRangeError(
                 f"interior coefficient {a_k} has |a| >= 1: not a positive system"
             )
@@ -131,7 +121,8 @@ def sturmian_from_charpoly(
         phis=tuple(ladder),
         verblunsky=VerblunskySequence(tuple(coeffs)),
     )
-    system.check_delta(leading_toeplitz_minors(system.moments, n1), "Toeplitz minors")
+    pivots, scale = _schur_minors(system.moments, n1)
+    system.check_delta(pivots, "Toeplitz minors", scale)
     if paranoid:
         _check_rungs_by_determinants(system.moments, ladder, "descent")
     return system
@@ -191,7 +182,7 @@ def build_dual_pair(spec: KroneckerSpec, paranoid: bool = False) -> DualPair:
     checks["mirror_map"] = mirror_dual(ram.verblunsky) == stu.verblunsky
     n1 = charpoly.degree
     checks["sturm_condition"] = stu.phis[n1 - 1] * Fraction(n1) == charpoly.derivative()
-    checks["h_terminal_equal"] = ram.h[-1] == stu.h[-1]
+    checks["h_terminal_equal"] = ram._norms[-1] == stu._norms[-1]
     if not all(checks.values()):
         failed = [k for k, ok in checks.items() if not ok]
         raise DualityViolationError(f"exact duality assertions failed: {failed}")
@@ -268,19 +259,16 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
 
     In double precision each remainder is evaluated by Horner's rule.  With
     `digits`, r = C / E (integer numerators C_k, denominator E) is summed
-    exactly against the fixed-point table (X_j, Y_j) of ``_unit_table`` at
-    b = prec + 16 + bit_length(N+1) bits:
+    exactly against the table (X_j, Y_j) of ``_unit_table`` at
+    b = prec + 16 + bit_length(N+1) bits and rounded once to nearest:
 
         r(z_s) ~ (sum_k C_k X_{sk mod m} + i sum_k C_k Y_{sk mod m}) / (E 2^b).
 
-    Each table entry is within one unit of 2^b e^{2 pi i j/m} in each part,
-    so before its one rounding to nearest each part of the value is within
-    ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of that of r(z_s).  Horner at the
-    working precision prec is bounded by about 2 deg(r) ||r||_1 2^-prec,
-    over 2^16 (N+1) times more when deg(r) >= 1.  The bound is absolute:
-    where r(z_s) cancels to far below ||r||_1, its relative error, and so
-    the residuals, grow by that factor.  The row's root is the table point
-    itself, rounded once.
+    Each table entry is within one unit of 2^b e^{2 pi i j/m} per part, so
+    each part is within ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of r(z_s),
+    against about 2 deg(r) ||r||_1 2^-prec for Horner.  The bound is
+    absolute: where r(z_s) cancels far below ||r||_1, the residuals grow by
+    that factor.  The row's root is the table point, rounded once.
 
     Residuals are relative.  Raises WeightCheckFailureError (with the
     report attached) when any residual exceeds tol.  Raises
@@ -353,10 +341,9 @@ def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
 
 def _table_values(spec: KroneckerSpec, reduced: dict, n1: int) -> list:
     """(z_s, C'(z_s), Phi_N(z_s)) at every root, in the order of
-    ``_root_angles``, as mpmath values at the working precision:
-    ``reduced[m]`` holds the two remainders modulo C_m, each value is an
-    exact integer sum over ``_unit_table`` rounded once to nearest, and an
-    exact zero stays an exact zero (see ``verify_weights``)."""
+    ``_root_angles``, as mpmath values at the working precision, from the
+    two remainders modulo C_m in ``reduced[m]``: exact integer sums over
+    ``_unit_table``, each rounded once, an exact zero staying exact."""
     import mpmath
 
     bits = mpmath.mp.prec + 16 + n1.bit_length()
@@ -418,8 +405,7 @@ def _verify_weights_impl(pair: DualPair, tol: float, to_num, points) -> WeightRe
     """The residuals of ``verify_weights`` from (z_s, C'(z_s), Phi_N(z_s))
     at every root; to_num converts a Fraction at the points' precision."""
     n1 = pair.charpoly.degree
-    h_terminal = pair.ramanujan.h[-1]
-    h_num = to_num(h_terminal)
+    h_num = to_num(Fraction(*pair.ramanujan._norms[-1]))
     equal_mass = 1 / to_num(Fraction(n1))
     report = WeightReport(tol=tol)
     mass_sum = 0

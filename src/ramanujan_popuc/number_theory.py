@@ -12,7 +12,8 @@ oracle for the other:
 * ``ramanujan_sum_fast`` evaluates the classical divisor-sum form
   sum_{d | gcd(n, M)} d * mu(M/d).
 
-A table of c_M(0..L) computes each residue mod M by both routes, once.
+A table of c_M(0..L) computes each residue mod M by both routes, once
+per process.
 
 No floating point is used anywhere.  M stays desk-scale, so factorization
 is plain trial division.
@@ -144,19 +145,26 @@ class RamanujanTable:
         return {"modulus": self.modulus, "values": list(self.values)}
 
 
+# m -> (c_m(0), c_m(1), ...) checked by both routes; only replaced by a longer prefix
+_periods: dict[int, tuple[int, ...]] = {}
+
+
 def ramanujan_table(m: int, length: int) -> RamanujanTable:
     """Table of c_m(0..length), each residue mod M computed by both routes.
 
     Both routes reduce n mod m first, so one period n < min(length + 1, m)
-    is computed and then tiled.  Raises InternalInconsistencyError if the
-    two methods ever disagree; that indicates a bug in this module, not
-    bad input.
+    is computed, memoized for the process and then tiled.  Raises
+    InternalInconsistencyError if the two methods ever disagree; that
+    indicates a bug in this module, not bad input.
     """
     _check_modulus(m)
     if length < 0:
         raise InvalidModulusError(f"table length must be >= 0, got {length}")
-    period = [_checked_sum(m, n) for n in range(min(length + 1, m))]
-    return RamanujanTable(modulus=m, values=tuple(period[n % m] for n in range(length + 1)))
+    period = _periods.get(m, ())
+    if len(period) < min(length + 1, m):
+        period += tuple(_checked_sum(m, n) for n in range(len(period), min(length + 1, m)))
+        _periods[m] = period
+    return RamanujanTable(modulus=m, values=(period * (length // m + 1))[: length + 1])
 
 
 def _checked_sum(m: int, n: int) -> int:

@@ -1,12 +1,6 @@
 """Moment sequences, Toeplitz determinants, and the recurrence ladder of
-monic polynomials orthogonal on the unit circle.
-
-Everything is exact: moments are rationals, single determinants are
-computed by fraction-free Bareiss elimination on an integer-scaled
-matrix, the leading Toeplitz minors Delta_1..Delta_n all at once by
-Schur elimination in O(n^2) with one content gcd per step (Bareiss 1969,
-Collins 1967), and the ladder is built by a Levinson-style update of the
-fundamental recurrence
+monic polynomials orthogonal on the unit circle, built by a Levinson-style
+update of the fundamental recurrence
 
     Phi_{n+1}(z) = z * Phi_n(z) - a_n * Phi_n^*(z),
 
@@ -16,18 +10,16 @@ ladder whose reflection coefficients satisfy |a_k| < 1 for k < N and
 |a_N| = 1; the terminal polynomial then has simple roots on the unit
 circle carrying a discrete orthogonality measure.
 
-Public values (moments, coefficients, determinants, inner products) are
-always ``Fraction`` or ``Poly``.  Every inner loop instead runs on Python
-integers over one common denominator per moment vector (``_scaled``) or
-polynomial (a ``Poly``'s stored form), the fraction-free idea of Bareiss
-(1968): the ladder check, the Gram matrix and Newton's identities take
-no gcd until a result leaves the loop, and the Schur minors and the
-ladder recurrences (both directions, the Levinson inner product, the
-moments recovered from a ladder) one per step.  The ladder check is
-O(N^2): each rung against the recurrence from the one below, plus one
-inner product with the moments (``_verify_annihilation``).  The Gram
-matrix is symmetric, so each pair is computed once: the lower-degree
-polynomial against the moment row of the higher-degree one.
+Everything is exact.  Public values (moments, coefficients, norms,
+determinants, inner products) are ``Fraction`` or ``Poly``; norms and
+determinants are built only when read.  Every loop runs on integers over
+one common denominator per moment vector (once per ``MomentSequence``) or
+polynomial, the fraction-free idea of Bareiss (1968), with a gcd per step
+or per result: Bareiss elimination for single determinants, a
+content-reduced Schur sweep in O(n^2) for the leading minors (Bareiss
+1969, Collins 1967) whose integer pivots are matched against the integer
+norms (``_norm_step``), the O(N^2) ladder check (``_verify_annihilation``)
+and the Gram matrix, which computes each symmetric pair once.
 """
 
 from __future__ import annotations
@@ -88,6 +80,12 @@ class MomentSequence:
 
     def to_json_list(self) -> list[str]:
         return [str(s) for s in self.sigma]
+
+    @cached_property
+    def _scaled_form(self) -> tuple[tuple[int, ...], int]:
+        """(S, D) with sigma_t == S[t] / D, D the least common denominator."""
+        ints, scale = _scaled(self.sigma)
+        return tuple(ints), scale
 
 
 def moments_from_cyclotomic(m: int, length: int | None = None) -> MomentSequence:
@@ -156,20 +154,23 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_prefix(m: MomentSequence, n: int) -> tuple[list[int], int]:
+def _scaled_prefix(m: MomentSequence, n: int) -> tuple[tuple[int, ...], int]:
     """(S, D) with S[t] == D * sigma_t for 0 <= t < n, D the common
     denominator of those moments: the data of an n x n Toeplitz matrix."""
     if n - 1 > m.max_index:
         raise InsufficientMomentsError(
             f"Toeplitz determinant of size {n} needs moments up to sigma_{n - 1}"
         )
-    return _scaled(m.at(k) for k in range(n))
+    ints, scale = m._scaled_form
+    ints = ints[:n]
+    g = gcd(scale, *ints)  # D / g is the least common denominator of the prefix
+    return (tuple(x // g for x in ints), scale // g) if g != 1 else (ints, scale)
 
 
-def _scaled_moments(m: MomentSequence, count: int) -> tuple[list[int], int]:
+def _scaled_moments(m: MomentSequence, count: int) -> tuple[tuple[int, ...], int]:
     """(S, D) with S[count - 1 + t] == D * sigma_t for -count < t < count,
     D the common denominator of sigma_0..sigma_{count-1}."""
-    ints, scale = _scaled(m.at(k) for k in range(count))
+    ints, scale = _scaled_prefix(m, count)
     return ints[:0:-1] + ints, scale
 
 
@@ -212,8 +213,8 @@ def toeplitz_det(m: MomentSequence, n: int) -> Fraction:
 def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     """[Delta_1, ..., Delta_n] by content-reduced Schur elimination, O(n^2).
 
-    The recursion runs on the scaled moments S_t = D * sigma_t (D from
-    ``_scaled``), whose k-th leading minor is D^k * Delta_k; call it P_k,
+    The recursion runs on the scaled moments S_t = D * sigma_t (D their
+    common denominator), whose k-th leading minor is D^k * Delta_k; call it P_k,
     with P_0 = 1.  For the monic orthogonal polynomial Phi_k of S and the
     form <f, g> = sum f_i g_j S_{i-j}, the fraction-free Schur recursion
     (Bareiss 1969) has two integer arrays
@@ -229,14 +230,12 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
         P_k * E_{k+1}(j) = P_{k+1} * E_k(j-1) - Q * F_k(j),
         P_k * F_{k+1}(j) = P_{k+1} * F_k(j) - Q * E_k(j-1),
 
-    O(n - k) operations per step.  E_k and F_k are integers: by Cramer's
-    rule P_k * Phi_k is the bordered determinant of the integer matrix, so
-    its coefficients (and those of its reversal) are integers, and so are
-    its inner products with the integer moments.  They grow with P_k, but
-    their content does not have to: this function keeps f = F_k / s and
-    e = E_k / s for a positive integer s (s = 1 at the start), the
-    primitive remainder-sequence idea of Collins (J. ACM 14, 1967).  The
-    pivot f[0] is P_{k+1} / s, and with q = e[0] the step forms
+    O(n - k) operations per step.  E_k and F_k are integers (by Cramer's
+    rule P_k * Phi_k is the bordered determinant of the integer matrix).
+    They grow with P_k, but their content does not have to: the sweep
+    keeps f = F_k / s and e = E_k / s for a positive integer s (s = 1 at
+    the start), the primitive remainder-sequence idea of Collins (J. ACM
+    14, 1967).  The pivot f[0] is P_{k+1} / s, and with q = e[0] it forms
 
         raw = pivot * f - q * e = (P_k / s^2) * F_{k+1}
 
@@ -246,42 +245,50 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     by their joint content g then leaves F_{k+1} / s' and E_{k+1} / s' with
     s' = v * g, and Delta_{k+1} = P_{k+1} / D^{k+1} = s * pivot / D^{k+1}.
     Dividing by u before the gcd keeps the gcd on short integers.  The
-    recursion stops with SingularMomentError at the first minor that is
-    not positive (a zero one would be the next divisor).
+    sweep (``_schur_minors``) keeps the integer pivots P_k and raises
+    SingularMomentError at the first one below P_n that is not positive
+    (it would be the next divisor); this function also rejects such a
+    P_n, and divides each P_k by D^k.
 
     The minors are independent of the Levinson loop in
-    ``popuc_from_moments``: this function reads the moment table and
-    nothing else.  It never forms a polynomial Phi_k, a coefficient a_k or
-    a norm h_k, and shares no code with ``szego_step`` or the ``Poly``
-    arithmetic there.  A wrong a_n, rung or norm on that side changes the
-    system's Delta (the products of the norms) but not these pivots, so
-    ``PopucSystem.check_delta`` still compares two routes.  Over the
-    acceptance master set the result equals general Bareiss elimination
-    (``toeplitz_det``), which the tests keep as the oracle.
+    ``popuc_from_moments``: the sweep reads the moment table and nothing
+    else.  It never forms a polynomial Phi_k, a coefficient a_k or a norm
+    h_k, and shares no code with ``szego_step`` or ``Poly``.  A wrong a_n,
+    rung or norm on that side changes the norms but not these pivots, so
+    ``PopucSystem.check_delta`` still compares two routes.  The tests keep
+    general Bareiss elimination (``toeplitz_det``) as the oracle.
     """
-    minors = list(_schur_minors(m, n))
-    if minors and minors[-1] <= 0:
-        raise SingularMomentError(
-            f"Delta_{len(minors)} = {minors[-1]} is not positive ({m.provenance})"
-        )
-    return minors
+    pivots, scale = _schur_minors(m, n)
+    if pivots and pivots[-1] <= 0:
+        raise _not_positive(pivots, scale, m)
+    return [Fraction(p, scale**k) for k, p in enumerate(pivots, 1)]
 
 
-def _schur_minors(m: MomentSequence, n: int):
-    """Yield Delta_1, ..., Delta_n by the recursion of
-    ``leading_toeplitz_minors``, stopping after the first minor that is
-    not positive."""
+def _not_positive(pivots: list[int], scale: int, m: MomentSequence) -> SingularMomentError:
+    k = len(pivots)
+    return SingularMomentError(
+        f"Delta_{k} = {Fraction(pivots[-1], scale**k)} is not positive ({m.provenance})"
+    )
+
+
+def _schur_minors(m: MomentSequence, n: int) -> tuple[list[int], int]:
+    """([P_1, ..., P_n], D), P_k = D^k * Delta_k, by the recursion of
+    ``leading_toeplitz_minors``; P_n may have any sign."""
     ints, scale = _scaled_prefix(m, n)
     # f[i] = F_k(-i) / s, e[i] = E_k(-1 - i) / s
     f, e = ints, ints[1:]
     s = prev = 1  # prev = P_k
-    for k in range(n):
+    pivots = []
+    for _ in range(n):
         pivot = f[0]
         minor = s * pivot
-        yield Fraction(minor, scale ** (k + 1))
-        if pivot <= 0 or not e:
-            return
-        u, v = Fraction(prev, s * s).as_integer_ratio()
+        pivots.append(minor)
+        if not e:
+            break
+        if pivot <= 0:
+            raise _not_positive(pivots, scale, m)
+        g = gcd(prev, s * s)
+        u, v = prev // g, s * s // g
         q = e[0]
         f, e = (
             [(pivot * x - q * y) // u for x, y in zip(f, e)],
@@ -291,6 +298,7 @@ def _schur_minors(m: MomentSequence, n: int):
         if g != 1:
             f, e = [x // g for x in f], [y // g for y in e]
         s, prev = v * g, minor
+    return pivots, scale
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +336,6 @@ def szego_step(phi: Poly, a: Fraction) -> Poly:
     (q z P - p P^*) / (q d) for phi = P / d and a = p / q in lowest terms."""
     if not phi.is_monic:
         raise InvalidCharacteristicError("recurrence steps need a monic polynomial")
-    a = Fraction(a)
     p, q, ints = a.numerator, a.denominator, phi.ints
     shifted, star = (0, *ints), (*ints[::-1], 0)
     return Poly.from_ints([q * x - p * y for x, y in zip(shifted, star)], q * phi.den)
@@ -346,15 +353,23 @@ def inverse_szego_step(phi_next: Poly) -> tuple[Poly, Fraction]:
             "descent needs a monic polynomial of degree >= 1"
         )
     ints, d = phi_next.ints, phi_next.den
-    a = Fraction(-ints[0], d)
-    if abs(a) == 1:
+    if abs(ints[0]) == d:
         raise UnimodularConstantTermError(
             f"|constant term| = 1 in {phi_next}; descent cannot continue"
         )
     num = [d * x - ints[0] * y for x, y in zip(ints, ints[::-1])]
     if num[0] != 0:
         raise InternalInconsistencyError("descent numerator kept a constant term")
-    return Poly.from_ints(num[1:], d * d - ints[0] * ints[0]), a
+    return Poly.from_ints(num[1:], d * d - ints[0] * ints[0]), Fraction(-ints[0], d)
+
+
+def _norm_step(h: tuple[int, int], a: Fraction) -> tuple[int, int]:
+    """h_{n+1} = h_n (q^2 - p^2) / q^2 for h_n = h[0] / h[1] and a_n = p / q,
+    both in lowest terms, as a pair in lowest terms."""
+    p, q = a.numerator, a.denominator
+    num, den = h[0] * (q * q - p * p), h[1] * q * q
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +388,9 @@ class VerblunskySequence:
         if not self.a:
             raise TerminalMassError("need at least the terminal coefficient")
         for k, v in enumerate(self.a[:-1]):
-            if abs(v) >= 1:
+            if abs(v.numerator) >= v.denominator:
                 raise SingularMomentError(f"|a_{k}| = {abs(v)} >= 1 below the terminal index")
-        if abs(self.a[-1]) != 1:
+        if abs(self.a[-1].numerator) != self.a[-1].denominator:
             raise TerminalMassError(f"terminal coefficient {self.a[-1]} is not unimodular")
 
     @property
@@ -402,12 +417,12 @@ class PopucSystem:
     Stores the monic polynomials Phi_0..Phi_{N+1}, the reflection
     coefficients a_0..a_N, the generating moments, and a provenance
     label.  The squared norms h_0..h_N and the Toeplitz determinants
-    Delta_1..Delta_{N+1} are not stored: both derive from the reflection
-    coefficients alone (``h`` and ``delta``), and are positive because
-    every |a_k| < 1 below N.  Construction re-checks the cheap structural
-    invariants; orthogonality itself is enforced by the builders, and
-    ``from_json_dict`` rejects a payload whose rungs, moments, h or delta
-    disagree with its reflection coefficients.
+    Delta_1..Delta_{N+1} derive from the reflection coefficients alone:
+    ``h`` and ``delta`` are built when read from the integer norms
+    ``_norms``, and are positive because every |a_k| < 1 below N.
+    Construction re-checks the cheap structural invariants; the builders
+    enforce orthogonality, and ``from_json_dict`` rejects a payload whose
+    rungs, moments, h or delta disagree with its reflection coefficients.
     """
 
     family: str
@@ -425,35 +440,46 @@ class PopucSystem:
             raise InternalInconsistencyError("systems are normalized to sigma_0 = 1")
 
     @cached_property
+    def _norms(self) -> tuple[tuple[int, int], ...]:
+        """h_0..h_N as (numerator, denominator) pairs in lowest terms."""
+        return tuple(accumulate(self.verblunsky.a[:-1], _norm_step, initial=(1, 1)))
+
+    @cached_property
     def h(self) -> tuple[Fraction, ...]:
         """h_0..h_N, h_n = (1 - a_0^2) ... (1 - a_{n-1}^2)."""
-        factors = (1 - a * a for a in self.verblunsky.a[:-1])
-        return tuple(accumulate(factors, mul, initial=Fraction(1)))
+        return tuple(Fraction(*h) for h in self._norms)
 
     @cached_property
     def delta(self) -> tuple[Fraction, ...]:
         """Delta_1..Delta_{N+1}, Delta_{n+1} = h_0 ... h_n."""
         return tuple(accumulate(self.h, mul))
 
-    def check_delta(self, delta, route: str) -> None:
+    def check_delta(self, delta, route: str, scale: int = 1) -> None:
         """Match Delta_1..Delta_{N+1} found by another route (Toeplitz
-        minors, a closed form, a payload) against ``self.delta``; raise
+        minors, a closed form, a payload) against the norms; raise
         InternalInconsistencyError naming the first Delta_k that differs.
-
-        With Delta_0 = 1, agreeing on every Delta_k is the same as agreeing
-        on every norm h_n = Delta_{n+1} / Delta_n, so a wrong h_n by either
-        route surfaces here as a wrong Delta_{n+1}."""
+        delta[k-1] = P_k = D^k Delta_k for D = scale (the integer pivots of
+        a Schur sweep), or Delta_k itself for scale = 1.  With P_0 = 1 and
+        h_k = hn_k / hd_k it checks P_{k+1} hd_k == D P_k hn_k, that is
+        Delta_{k+1} == Delta_k h_k, for k = 0..N.  Equal Delta gives every
+        equation, and by induction from Delta_0 = 1 the equations give
+        Delta_{k+1} = h_0 ... h_k, the system's Delta: the check matches
+        every Delta_k, so every h_n = Delta_{n+1} / Delta_n.  Fractions are
+        built only for the message."""
         delta = tuple(delta)
-        if len(delta) != len(self.delta):
+        if len(delta) != len(self._norms):
             raise InternalInconsistencyError(
                 f"{len(delta)} determinants by {route}, but the ladder has "
-                f"{len(self.delta)} ({self.family})"
+                f"{len(self._norms)} ({self.family})"
             )
-        for k, (other, own) in enumerate(zip(delta, self.delta), 1):
-            if other != own:
+        prev = 1
+        for k, (other, (hn, hd)) in enumerate(zip(delta, self._norms), 1):
+            if other * hd != scale * prev * hn:
                 raise InternalInconsistencyError(
-                    f"Delta_{k} = {other} by {route}, but {own} from the norms ({self.family})"
+                    f"Delta_{k} = {Fraction(other, scale**k)} by {route}, but "
+                    f"{Fraction(scale * prev * hn, scale**k * hd)} from the norms ({self.family})"
                 )
+            prev = other
 
     @property
     def n_max(self) -> int:
@@ -545,7 +571,7 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
     every j >= 0: each moment past sigma_{N+1} is fixed by the ones below
     it.  Raise TerminalMassError naming the first sigma_k that is not."""
     d, lower = terminal.degree, terminal.ints[:-1]
-    sigma, scale = _scaled(m.sigma)
+    sigma, scale = m._scaled_form
     for k in range(d + 1, m.max_index + 1):
         # D * E times the sigma_k that Phi_d = C / E implies, for sigma_t = S_t / D
         implied = -sum(map(mul, lower, sigma[k - d :]))
@@ -584,17 +610,15 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     a = a_{n-1} = -Phi_n(0), and (i) and (ii) hold.  Multiplying by the
     positive integers E * E_b and D * E changes no verdict.
 
-    At the first rung that fails, the inner products <Phi_n, z^j> of that
-    rung alone are summed, and the first nonzero one is reported as
-    Fraction(sum, D * E) with its j.  The rungs below passed, so they kill
-    their z^j, and this is the message the direct check of every
-    <Phi_n, z^j> gives.  If there is none, the rung kills z^0..z^{n-1} but
-    breaks the recurrence, and that is reported as such.  With nonzero
-    minors this takes a rung that is not monic of degree n (the direct
-    check lets a multiple of Phi_n pass) or a Phi_0 other than 1.
+    At the first failing rung, the first nonzero <Phi_n, z^j> is reported
+    as Fraction(sum, D * E) with its j: the rungs below passed, so this is
+    the message the direct check gives.  If there is none, the rung kills
+    z^0..z^{n-1} but breaks the recurrence (with nonzero minors, a rung
+    that is not monic of degree n, or a Phi_0 other than 1), and that is
+    reported as such.
     """
     count = len(phis)
-    moments, _ = _scaled(m.at(k) for k in range(count))
+    moments, _ = _scaled_prefix(m, count)
     for n in range(1, count):
         b, b_scale = phis[n - 1].ints, phis[n - 1].den
         c, c_scale = phis[n].ints, phis[n].den
@@ -632,7 +656,7 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     delta_n = toeplitz_det(m, n)
     if delta_n == 0:
         raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
-    ints, scale = _scaled(m.at(k) for k in range(n + 1))
+    ints, scale = _scaled_prefix(m, n + 1)
     rows = [[ints[abs(c - i)] for c in range(n + 1)] for i in range(n)]
     cofactors = [_bareiss_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
     cofactors = [(-1) ** (n + j) * c for j, c in enumerate(cofactors)]  # times scale^n
@@ -661,22 +685,16 @@ def popuc_from_moments(
 
     The reflection coefficients come from a Levinson-style update
     a_n = <z Phi_n, 1> / h_n.  One Schur sweep over sigma_0..sigma_{N+1}
-    (the recursion of ``leading_toeplitz_minors``) finds the Toeplitz
-    minors independently.  Delta_1..Delta_{N+1} must be positive and equal
-    the system's Delta_n, the products of the norms h_n; the last pivot,
-    Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2), must be 0.  Then each rung
-    is verified to annihilate z^0..z^{n-1} through the moment functional,
-    in O(N^2) in all: it must be z Phi_{n-1} - a Phi_{n-1}^* with
-    a = -Phi_n(0) read from the rung itself, and <Phi_n, 1> must vanish.
-    With positive minors, by induction over the rungs, that is the same
-    as every <Phi_n, z^j> vanishing (``_verify_annihilation``).
-    With paranoid=True every rung is additionally compared against the
-    bordered-determinant formula, coefficient by coefficient.
+    finds the Toeplitz minors independently: Delta_1..Delta_{N+1} must be
+    positive and equal the products of the norms (``check_delta``), and
+    Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2) must be 0.  Every rung must
+    annihilate z^0..z^{n-1}, checked in O(N^2) (``_verify_annihilation``).
+    With paranoid=True every rung is also compared, coefficient by
+    coefficient, with the bordered-determinant formula.
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
-    the one the terminal rung implies (the moments do not close into an
-    (N+1)-point measure).
+    the one the terminal rung implies (no (N+1)-point measure).
     """
     if n_plus_1 < 1:
         raise InvalidModulusError("need n_plus_1 >= 1")
@@ -689,35 +707,30 @@ def popuc_from_moments(
     if m.at(0) != 1:
         raise SingularMomentError("ladder construction expects sigma_0 = 1")
 
-    # Delta_1..Delta_{N+2}; the sweep stops early only at a minor that is not positive
-    minors = list(_schur_minors(m, n_terminal + 1))
-    if len(minors) <= n_terminal:
-        raise SingularMomentError(
-            f"Delta_{len(minors)} = {minors[-1]} is not positive ({m.provenance})"
-        )
+    pivots, scale = _schur_minors(m, n_terminal + 1)  # P_k = D^k Delta_k, k = 1..N+2
 
     # sigma[k] = D * sigma_{k+1}, so D * E * <z Phi_n, 1> = sum_k C_k sigma[k] for Phi_n = C / E
-    sigma, scale = _scaled(m.at(k + 1) for k in range(n_terminal))
+    sigma = _scaled_prefix(m, n_terminal + 1)[0][1:]
     phis = [Poly.one()]
     a: list[Fraction] = []
-    h_n = Fraction(1)
+    h_n = (1, 1)  # h_n = h_n[0] / h_n[1]
     for n in range(n_terminal):
         phi = phis[n]
-        a_n = Fraction(sum(map(mul, phi.ints, sigma)), phi.den * scale) / h_n
+        a_n = Fraction(sum(map(mul, phi.ints, sigma)) * h_n[1], phi.den * scale * h_n[0])
         if n < n_terminal - 1:
-            if abs(a_n) >= 1:
+            if abs(a_n.numerator) >= a_n.denominator:
                 raise SingularMomentError(
                     f"|a_{n}| = {abs(a_n)} >= 1: moments are not positive-definite "
                     f"through order {n + 2} ({m.provenance})"
                 )
-        elif abs(a_n) != 1:
+        elif abs(a_n.numerator) != a_n.denominator:
             raise TerminalMassError(
                 f"|a_{n_terminal - 1}| = {abs(a_n)} != 1: moments do not describe an "
                 f"{n_terminal}-point measure ({m.provenance})"
             )
         a.append(a_n)
         phis.append(szego_step(phi, a_n))
-        h_n *= 1 - a_n * a_n
+        h_n = _norm_step(h_n, a_n)
 
     system = PopucSystem(
         family=family or m.provenance,
@@ -725,12 +738,12 @@ def popuc_from_moments(
         phis=tuple(phis),
         verblunsky=VerblunskySequence(tuple(a)),
     )
-    *minors, last = minors
-    system.check_delta(minors, "Toeplitz minors")
+    *pivots, last = pivots
+    system.check_delta(pivots, "Toeplitz minors", scale)
     if last != 0:
         raise InternalInconsistencyError(
-            f"Delta_{n_terminal + 1} = {last} by Toeplitz minors, but "
-            f"|a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
+            f"Delta_{n_terminal + 1} = {Fraction(last, scale ** (n_terminal + 1))} by Toeplitz "
+            f"minors, but |a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
         )
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
@@ -747,28 +760,27 @@ def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:
     # sigma_k = ints[k] / den, den the least common denominator so far
     ints, den = [1], 1
     for phi in phis[1:]:
-        value = Fraction(-sum(map(mul, phi.ints, ints)), phi.den * den)
-        if den % value.denominator:
-            grow = value.denominator // gcd(den, value.denominator)
+        num, div = -sum(map(mul, phi.ints, ints)), phi.den * den
+        g = gcd(num, div)
+        num, div = num // g, div // g
+        if den % div:
+            grow = div // gcd(den, div)
             ints, den = [x * grow for x in ints], den * grow
-        ints.append(value.numerator * (den // value.denominator))
+        ints.append(num * (den // div))
     return MomentSequence(sigma=tuple(Fraction(x, den) for x in ints), provenance=provenance)
 
 
 def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
     """All pairwise inner products <p_i, p_j>, each pair computed once.
 
-    The moments are real with sigma_{-t} = sigma_t and the coefficients
-    are real, so <p_i, p_j> = <p_j, p_i> exactly: the matrix is symmetric
-    and only one half is computed.  The polynomials are visited in
-    ascending degree.  For each p_j = G / E_j, with the moments over D,
-    the integers w[k] = D * E_j * <z^k, p_j> for k <= deg p_j are formed
-    once (``_moment_row``), and for every p_i = F / E_i visited so far
-    (so deg p_i <= deg p_j), <p_i, p_j> = sum_k F_k w[k] / (D E_i E_j)
-    is stored at (i, j) and (j, i).  For a ladder of N + 1 rungs that is
-    about N^3/3 products for the rows w and N^3/6 for the sums, against
-    N^3 for the full product P * S * P^T, and (N + 1)^2 / 2 Fractions;
-    a zero entry is one shared Fraction(0), with no gcd."""
+    Real symmetric moments and real coefficients make the matrix
+    symmetric.  In ascending degree, for each p_j = G / E_j and moments
+    over D, the integers w[k] = D * E_j * <z^k, p_j>, k <= deg p_j, are
+    formed once (``_moment_row``); every p_i = F / E_i visited so far gets
+    <p_i, p_j> = sum_k F_k w[k] / (D E_i E_j) at (i, j) and (j, i).  For
+    N + 1 rungs that is about N^3/3 + N^3/6 products against N^3 for
+    P * S * P^T, and (N + 1)^2 / 2 Fractions; a zero entry is one shared
+    Fraction(0), with no gcd."""
     deg = max((p.degree for p in polys), default=0)
     if deg > m.max_index:
         raise InsufficientMomentsError("Gram matrix needs moments up to the max degree")

@@ -1,6 +1,7 @@
 """The command-line surface: outputs, formats, exit codes, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -432,6 +433,26 @@ def test_output_is_byte_exact(capsys, command):
     assert run_cli(capsys, *command.split()) == (0, GOLDEN[command], "")
 
 
+# SHA-256 of the whole JSON output (with its newline) of larger ladders,
+# recorded before the scalar layer moved onto integers
+GOLDEN_SHA256 = {
+    "popuc --m 211": "3bde4ed15e78b4ed80d1b4109d79c8138d69375d9b4805afa6106ab4d5bcc523",
+    "popuc --m 211 --family sturmian": (
+        "032d9eb7e68b3e441633133d2283f32f701d5c061c825ce3a24f8cfbca84a5e2"
+    ),
+    "popuc --kronecker 1,6,13,15,21,25,26,35": (
+        "9ae07e7a67967e7cda8822f5d53f18916b530706fae07e784086bf11e02141ff"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SHA256))
+def test_json_output_hash_is_unchanged(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
 DUAL_123_TABLE = [
     "spec             : {1,2,3}",
     "charpoly         : z^4 + z^3 - z - 1",
@@ -547,3 +568,19 @@ def test_check_subject_names_a_lower_minor_that_is_not_positive(monkeypatch):
     ok, detail = _check_subject_on_stub(monkeypatch, [-1, -2, 1], [1, 1, 3])
     assert not ok and detail.startswith("SingularMomentError: ")
     assert "Delta_2 = 0 is not positive" in detail
+
+
+def test_main_reuses_one_parser_and_reads_the_format_on_every_call(capsys, monkeypatch):
+    from ramanujan_popuc import cli
+
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    monkeypatch.setenv("RAMANUJAN_POPUC_FORMAT", "json")
+    out = run_cli(capsys, "sums", "--m", "5", "--n-max", "1")[1]
+    assert out == '{"modulus": 5, "values": [4, -1]}\n'
+    monkeypatch.setenv("RAMANUJAN_POPUC_FORMAT", "csv")
+    assert run_cli(capsys, "sums", "--m", "5", "--n-max", "1")[1].startswith("n,value")
+    monkeypatch.setenv("RAMANUJAN_POPUC_FORMAT", "bogus")
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "--max-m", "1"])
+    assert e.value.code == 2

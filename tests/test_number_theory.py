@@ -168,6 +168,7 @@ def test_table_catches_routes_that_disagree_inside_the_first_period(monkeypatch,
     # disagreement at residue 5 surfaces for every length that reaches n = 5
     honest = getattr(number_theory, route)
     monkeypatch.setattr(number_theory, route, lambda m, n: honest(m, n) + (n % m == 5))
+    monkeypatch.setattr(number_theory, "_periods", {})  # forget the periods checked so far
     assert ramanujan_table(12, 4).values == (4, 0, 2, 0, -2)
     for length in (5, 11, 12, 36):
         with pytest.raises(InternalInconsistencyError, match=r"c_12\(5\)"):

@@ -3,7 +3,9 @@
 import random
 import re
 from fractions import Fraction as F
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -336,9 +338,42 @@ def test_leading_minors_match_determinants_on_random_moments(m):
 def test_schur_minors_end_at_the_bareiss_determinant(coeffs, last, scale):
     m = _moments_through_verblunsky([*coeffs, last], None, scale)
     n = m.max_index + 1
-    minors = list(opuc_core._schur_minors(m, n))
+    pivots, d = opuc_core._schur_minors(m, n)
+    # integer pivots P_k = D^k Delta_k over the least common denominator D
+    assert all(type(p) is int for p in pivots)
+    assert d == lcm(*(s.denominator for s in m.sigma[:n]))
+    minors = [F(p, d**k) for k, p in enumerate(pivots, 1)]
     assert minors == [toeplitz_det(m, k) for k in range(1, n + 1)]
-    assert (minors[-1] == 0) == (abs(last) == 1)
+    assert (pivots[-1] == 0) == (abs(last) == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(interior, max_size=12), st.sampled_from([F(1), F(-1)]), st.data())
+def test_integer_norms_match_products_and_a_perturbed_norm_is_caught(coeffs, last, data):
+    """The integer norm recurrence against accumulate(1 - a^2) as the oracle,
+    and the integer Toeplitz check against a norm bumped at any k."""
+    m = _moments_through_verblunsky([*coeffs, last], None, 1)
+    system = popuc_from_moments(m, len(coeffs) + 1)
+    a = system.verblunsky.a
+    oracle = tuple(accumulate((1 - x * x for x in a[:-1]), mul, initial=F(1)))
+    assert system.h == oracle
+    assert all(gcd(hn, hd) == 1 and hd > 0 for hn, hd in system._norms)
+    assert system.delta == tuple(accumulate(oracle, mul))
+    pivots, d = opuc_core._schur_minors(m, system.n_max + 1)
+    system.check_delta(pivots, "Toeplitz minors", d)
+    k = data.draw(st.integers(0, system.n_max), label="k")
+    bump = data.draw(st.sampled_from([F(1, 101), F(-1, 101), F(1, 2) * oracle[k]]), label="bump")
+    norms = list(system._norms)
+    wrong = oracle[k] + bump
+    norms[k] = (wrong.numerator, wrong.denominator)
+    system.__dict__["_norms"] = tuple(norms)
+    own = system.delta[k] * wrong / oracle[k]  # h_k replaced in the product
+    message = (
+        f"Delta_{k + 1} = {system.delta[k]} by Toeplitz minors, but {own} from the "
+        f"norms ({system.family})"
+    )
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        system.check_delta(pivots, "Toeplitz minors", d)
 
 
 # -- inner product ------------------------------------------------------------
@@ -509,7 +544,8 @@ def test_popuc_schur_sweep_stops_at_a_minor_that_is_not_positive():
         return popuc_from_moments(MomentSequence(tuple(F(s) for s in sigma)), 2)
 
     # z^2 + 1/4: roots +-i/2, Delta_3 = 15/16 != 0, and |a_1| = 1/4
-    with pytest.raises(TerminalMassError):
+    message = "|a_1| = 1/4 != 1: moments do not describe an 2-point measure"
+    with pytest.raises(TerminalMassError, match=re.escape(message)):
         build(1, 0, "-1/4")
     # (z - 2)(z - 3): Delta_2 = -21/4, where the sweep stops
     with pytest.raises(SingularMomentError, match=re.escape("Delta_2 = -21/4 is not positive")):
@@ -669,45 +705,46 @@ def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
 
 
 @pytest.mark.parametrize(
-    "namespace, name, build",
+    "namespace, build, past_terminal",
     [
-        (opuc_core, "_schur_minors", lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
-        (
-            duality,
-            "leading_toeplitz_minors",
-            lambda: sturmian_from_charpoly(anti_cyclotomic(10)),
-        ),
+        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6), True),
+        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10)), False),
     ],
     ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
 )
-def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, name, build):
+def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build, past_terminal):
     """Every Delta_k, k <= N+1, is matched against the norms; the Ramanujan
-    side also sweeps to Delta_{N+2}, which must be 0."""
+    side also sweeps to Delta_{N+2}, which must be 0.  Both sides check the
+    integer pivots P_k = D^k Delta_k of ``_schur_minors``, each moved by one
+    unit up and down in turn."""
     system = build()
     n2 = system.n_max + 2
-    minors_of = getattr(namespace, name)
-    last = n2 if name == "_schur_minors" else n2 - 1  # the Ramanujan side sweeps to N+2
+    minors_of = namespace._schur_minors
+    last = n2 if past_terminal else n2 - 1  # the Ramanujan side sweeps to N+2
+    _, d = minors_of(system.moments, last)
     for k in range(1, last + 1):
+        for unit in (1, -1):
 
-        def bumped(m, n, k=k):
-            minors = list(minors_of(m, n))
-            minors[k - 1] += F(1, 101)
-            return minors
+            def bumped(m, n, k=k, unit=unit):
+                pivots, scale = minors_of(m, n)
+                pivots[k - 1] += unit
+                return pivots, scale
 
-        monkeypatch.setattr(namespace, name, bumped)
-        if k < n2:
-            own = system.delta[k - 1]
-            message = (
-                f"Delta_{k} = {own + F(1, 101)} by Toeplitz minors, but {own} from the "
-                f"norms ({system.family})"
-            )
-        else:
-            message = (
-                f"Delta_{n2} = 1/101 by Toeplitz minors, but |a_{system.n_max}| = 1 "
-                f"makes it 0 ({system.family})"
-            )
-        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
-            build()
+            monkeypatch.setattr(namespace, "_schur_minors", bumped)
+            step = F(unit, d**k)  # one unit of P_k in Delta_k
+            if k < n2:
+                own = system.delta[k - 1]
+                message = (
+                    f"Delta_{k} = {own + step} by Toeplitz minors, but {own} from the "
+                    f"norms ({system.family})"
+                )
+            else:
+                message = (
+                    f"Delta_{n2} = {step} by Toeplitz minors, but |a_{system.n_max}| = 1 "
+                    f"makes it 0 ({system.family})"
+                )
+            with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+                build()
 
 
 def test_moments_from_ladder_inverts_construction():
@@ -725,6 +762,9 @@ def test_verblunsky_validation():
         VerblunskySequence((F(1, 2),))
     with pytest.raises(SingularMomentError):
         VerblunskySequence((F(3, 2), F(1)))
+    for unimodular in (F(1), F(-1)):  # |a_k| = 1 below the terminal index
+        with pytest.raises(SingularMomentError):
+            VerblunskySequence((unimodular, F(1)))
     v = VerblunskySequence((F(-1, 2), F(1)))
     assert v.n_max == 1 and list(v) == [F(-1, 2), F(1)]
 
