@@ -5,8 +5,9 @@ format needs.  Per spec, verify adds the weights, the power-sum oracle
 and the closed form to what ``build_dual_pair`` proves.
 
 Exit codes: 0 = success / all checks verified, 1 = a mathematical check
-failed, 2 = usage error.  Rationals are always rendered exactly as
-"num/den" (integers without the "/1"), so exactness survives the text
+failed, 2 = usage error.  Rationals are rendered exactly, at any length,
+as "num/den" (integers without the "/1") by the library's one renderer
+(``polynomials.render_rationals``), so exactness survives the text
 boundary.  The default output format can be set with the
 RAMANUJAN_POPUC_FORMAT environment variable; any value other than
 table, json or csv is a usage error.
@@ -99,19 +100,12 @@ def _emit(fmt: str, payload, rows, lines) -> None:
 
 def _system_csv_rows(system) -> list[dict]:
     """One row per (series, n, k, value); polynomials expand to one row
-    per coefficient, scalar series leave k empty."""
-    rows = []
-    for n, phi in enumerate(system.phis):
-        for k, c in enumerate(phi.to_json_list()):
-            rows.append({"series": "phi", "n": n, "k": k, "value": c})
-    for series, values in (
-        ("verblunsky", system.verblunsky.to_json_list()),
-        ("h", [str(v) for v in system.h]),
-        ("delta", [str(v) for v in system.delta]),
-        ("moment", system.moments.to_json_list()),
-    ):
-        for n, v in enumerate(values):
-            rows.append({"series": series, "n": n, "k": "", "value": v})
+    per coefficient, scalar series (moments as "moment") leave k empty."""
+    rows = [{"series": "phi", "n": n, "k": k, "value": c}
+            for n, phi in enumerate(system.phis) for k, c in enumerate(phi.to_json_list())]
+    for series, values in system.series_text().items():
+        series = "moment" if series == "moments" else series
+        rows += ({"series": series, "n": n, "k": "", "value": v} for n, v in enumerate(values))
     return rows
 
 
@@ -119,11 +113,9 @@ def _system_table(system) -> list[str]:
     return [
         f"family     : {system.family}",
         f"N          : {system.n_max}",
-        f"verblunsky : {'  '.join(system.verblunsky.to_json_list())}",
-        f"h          : {'  '.join(str(v) for v in system.h)}",
-        f"delta      : {'  '.join(str(v) for v in system.delta)}",
-        f"moments    : {'  '.join(system.moments.to_json_list())}",
-    ] + [f"Phi_{n:<3}    : {phi}" for n, phi in enumerate(system.phis)]
+        *(f"{series:<11}: {'  '.join(values)}" for series, values in system.series_text().items()),
+        *(f"Phi_{n:<3}    : {phi}" for n, phi in enumerate(system.phis)),
+    ]
 
 
 # ---------------------------------------------------------------------------

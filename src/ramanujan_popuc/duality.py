@@ -45,6 +45,7 @@ from .opuc_core import (
     VerblunskySequence,
     _check_rungs_by_determinants,
     _schur_minors,
+    _text,
     inverse_szego_step,
     moments_from_kronecker,
     moments_from_ladder,
@@ -85,7 +86,7 @@ def sturmian_from_charpoly(
         raise InvalidCharacteristicError("characteristic polynomial must be monic, degree >= 1")
     if abs(charpoly.ints[0]) != charpoly.den:
         raise InvalidCharacteristicError(
-            f"|constant term| = {abs(charpoly[0])} != 1: roots cannot all lie on the circle"
+            f"|constant term| = {_text(abs(charpoly[0]))} != 1: roots cannot all lie on the circle"
         )
     a_terminal = -charpoly[0]
     phi_n = charpoly.derivative() * Fraction(1, n1)
@@ -110,7 +111,7 @@ def sturmian_from_charpoly(
     for a_k in coeffs[1:]:
         if abs(a_k.numerator) >= a_k.denominator:
             raise InteriorCoefficientOutOfRangeError(
-                f"interior coefficient {a_k} has |a| >= 1: not a positive system"
+                f"interior coefficient {_text(a_k)} has |a| >= 1: not a positive system"
             )
     ladder.reverse()
     coeffs.reverse()

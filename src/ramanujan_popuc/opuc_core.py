@@ -42,7 +42,12 @@ from .errors import (
     UnimodularConstantTermError,
 )
 from .number_theory import euler_totient, ramanujan_table
-from .polynomials import KroneckerSpec, Poly, _scaled
+from .polynomials import KroneckerSpec, Poly, _scaled, parse_rational, render_rationals
+
+
+def _text(x) -> str:
+    """The text of one int or Fraction, for messages."""
+    return render_rationals([x.as_integer_ratio()])[0]
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class MomentSequence:
                     f"({self.provenance})"
                 )
         if self.sigma[0] <= 0:
-            raise SingularMomentError(f"sigma_0 must be positive, got {self.sigma[0]}")
+            raise SingularMomentError(f"sigma_0 must be positive, got {_text(self.sigma[0])}")
 
     @property
     def max_index(self) -> int:
@@ -77,9 +82,6 @@ class MomentSequence:
                 f"{self.max_index} are available ({self.provenance})"
             )
         return self.sigma[k]
-
-    def to_json_list(self) -> list[str]:
-        return [str(s) for s in self.sigma]
 
     @cached_property
     def _scaled_form(self) -> tuple[tuple[int, ...], int]:
@@ -267,7 +269,7 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
 def _not_positive(pivots: list[int], scale: int, m: MomentSequence) -> SingularMomentError:
     k = len(pivots)
     return SingularMomentError(
-        f"Delta_{k} = {Fraction(pivots[-1], scale**k)} is not positive ({m.provenance})"
+        f"Delta_{k} = {_text(Fraction(pivots[-1], scale**k))} is not positive ({m.provenance})"
     )
 
 
@@ -389,9 +391,11 @@ class VerblunskySequence:
             raise TerminalMassError("need at least the terminal coefficient")
         for k, v in enumerate(self.a[:-1]):
             if abs(v.numerator) >= v.denominator:
-                raise SingularMomentError(f"|a_{k}| = {abs(v)} >= 1 below the terminal index")
+                raise SingularMomentError(
+                    f"|a_{k}| = {_text(abs(v))} >= 1 below the terminal index"
+                )
         if abs(self.a[-1].numerator) != self.a[-1].denominator:
-            raise TerminalMassError(f"terminal coefficient {self.a[-1]} is not unimodular")
+            raise TerminalMassError(f"terminal coefficient {_text(self.a[-1])} is not unimodular")
 
     @property
     def n_max(self) -> int:
@@ -407,7 +411,7 @@ class VerblunskySequence:
         return self.a[k]
 
     def to_json_list(self) -> list[str]:
-        return [str(v) for v in self.a]
+        return render_rationals([v.as_integer_ratio() for v in self.a])
 
 
 @dataclass(frozen=True)
@@ -476,8 +480,9 @@ class PopucSystem:
         for k, (other, (hn, hd)) in enumerate(zip(delta, self._norms), 1):
             if other * hd != scale * prev * hn:
                 raise InternalInconsistencyError(
-                    f"Delta_{k} = {Fraction(other, scale**k)} by {route}, but "
-                    f"{Fraction(scale * prev * hn, scale**k * hd)} from the norms ({self.family})"
+                    f"Delta_{k} = {_text(Fraction(other, scale**k))} by {route}, but "
+                    f"{_text(Fraction(scale * prev * hn, scale**k * hd))} from the norms "
+                    f"({self.family})"
                 )
             prev = other
 
@@ -491,16 +496,21 @@ class PopucSystem:
         """Phi_{N+1}, the characteristic polynomial carrying the spectrum."""
         return self.phis[-1]
 
-    def to_json_dict(self) -> dict:
+    def series_text(self) -> dict[str, list[str]]:
+        """The text of the scalar series, h from the integer norms: the one
+        rendering that the payload, the CSV rows and the table lines read."""
         return {
-            "family": self.family,
-            "N": self.n_max,
             "verblunsky": self.verblunsky.to_json_list(),
-            "phis": [p.to_json_list() for p in self.phis],
-            "h": [str(v) for v in self.h],
-            "delta": [str(v) for v in self.delta],
-            "moments": self.moments.to_json_list(),
+            "h": render_rationals(self._norms),
+            "delta": render_rationals([v.as_integer_ratio() for v in self.delta]),
+            "moments": render_rationals([s.as_integer_ratio() for s in self.moments.sigma]),
         }
+
+    def to_json_dict(self) -> dict:
+        text = self.series_text()
+        phis = [p.to_json_list() for p in self.phis]
+        return {"family": self.family, "N": self.n_max, "verblunsky": text.pop("verblunsky"),
+                "phis": phis, **text}
 
     @staticmethod
     def from_json_dict(d: dict) -> "PopucSystem":
@@ -557,11 +567,11 @@ class PopucSystem:
 
 
 def _payload_rationals(items, key: str) -> tuple[Fraction, ...]:
-    """The exact rationals of a payload list of "num/den" strings."""
+    """The exact rationals of a payload list of "num/den" strings, any length."""
     if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
         raise InvalidPayloadError(f"payload {key} must be a list of rational strings")
     try:
-        return tuple(Fraction(s) for s in items)
+        return tuple(map(parse_rational, items))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidPayloadError(f"payload {key}: {exc}") from exc
 
@@ -577,8 +587,8 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
         implied = -sum(map(mul, lower, sigma[k - d :]))
         if implied != terminal.den * sigma[k]:
             raise TerminalMassError(
-                f"sigma_{k} = {m.sigma[k]}, but the terminal rung Phi_{d} implies "
-                f"{Fraction(implied, scale * terminal.den)} ({m.provenance})"
+                f"sigma_{k} = {_text(m.sigma[k])}, but the terminal rung Phi_{d} implies "
+                f"{_text(Fraction(implied, scale * terminal.den))} ({m.provenance})"
             )
 
 
@@ -635,7 +645,7 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
             val = sum(map(mul, c, sym[start : start + len(c)]))
             if val:
                 raise InternalInconsistencyError(
-                    f"<Phi_{n}, z^{j}> = {Fraction(val, scale * c_scale)} != 0 "
+                    f"<Phi_{n}, z^{j}> = {_text(Fraction(val, scale * c_scale))} != 0 "
                     f"({m.provenance})"
                 )
         raise InternalInconsistencyError(
@@ -720,13 +730,13 @@ def popuc_from_moments(
         if n < n_terminal - 1:
             if abs(a_n.numerator) >= a_n.denominator:
                 raise SingularMomentError(
-                    f"|a_{n}| = {abs(a_n)} >= 1: moments are not positive-definite "
+                    f"|a_{n}| = {_text(abs(a_n))} >= 1: moments are not positive-definite "
                     f"through order {n + 2} ({m.provenance})"
                 )
         elif abs(a_n.numerator) != a_n.denominator:
             raise TerminalMassError(
-                f"|a_{n_terminal - 1}| = {abs(a_n)} != 1: moments do not describe an "
-                f"{n_terminal}-point measure ({m.provenance})"
+                f"|a_{n_terminal - 1}| = {_text(abs(a_n))} != 1: moments do not describe "
+                f"an {n_terminal}-point measure ({m.provenance})"
             )
         a.append(a_n)
         phis.append(szego_step(phi, a_n))
@@ -742,8 +752,8 @@ def popuc_from_moments(
     system.check_delta(pivots, "Toeplitz minors", scale)
     if last != 0:
         raise InternalInconsistencyError(
-            f"Delta_{n_terminal + 1} = {Fraction(last, scale ** (n_terminal + 1))} by Toeplitz "
-            f"minors, but |a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
+            f"Delta_{n_terminal + 1} = {_text(Fraction(last, scale ** (n_terminal + 1)))} by "
+            f"Toeplitz minors, but |a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
         )
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])

@@ -6,11 +6,17 @@ trailing zero, over one positive denominator, and its arithmetic takes
 one gcd per operation.  Coefficients read as fractions.Fraction, built
 on demand, so one scalar type is public end-to-end: integer polynomials
 are simply those with denominator 1.
+
+Every rational of the library becomes text through ``render_rationals``
+and is read back by ``parse_rational``, at any length: past Python's
+int/str digit limit both go through decimal, with no process-wide switch.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -27,7 +33,7 @@ from .number_theory import divisors, euler_totient
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, (Fraction, int, str)):
-        return Fraction(x)
+        return parse_rational(x) if isinstance(x, str) else Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
 
@@ -46,6 +52,35 @@ def _scaled(values) -> tuple[list[int], int]:
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def render_rationals(values, den: int | None = None) -> list[str]:
+    """str(Fraction) of each value, a whole list per call: integers over
+    one positive den (each pair is reduced), or (numerator, denominator)
+    pairs in lowest terms when den is None.  values is a sequence: past
+    the int-to-str digit limit it is read again and decimal writes it."""
+    try:
+        return _render(values, den, str)
+    except ValueError:  # past the int-to-str digit limit; decimal has none
+        return _render(values, den, lambda n: str(Decimal(n)))
+
+
+def _render(values, den, digits) -> list[str]:
+    if den is None:
+        return [digits(n) if d == 1 else f"{digits(n)}/{digits(d)}" for n, d in values]
+    return [digits(c // g) if (g := gcd(c, den)) == den
+            else f"{digits(c // g)}/{digits(den // g)}" for c in values]
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) at any length: past the int-to-str digit limit, a
+    plain "[-]digits[/digits]" is read part by part through decimal."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            raise
+        return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
 class Poly:
@@ -212,16 +247,16 @@ class Poly:
     # -- presentation -------------------------------------------------
 
     def to_json_list(self) -> list[str]:
-        """str of each coefficient's Fraction, written from the stored form."""
-        d = self.den
-        return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in self.ints]
+        """The text of each coefficient, written from the stored form."""
+        return render_rationals(self.ints, self.den)
 
     def __str__(self) -> str:
         parts = []
-        for k, c in reversed([*enumerate(self.coeffs)]):
+        texts = render_rationals([abs(c) for c in self.ints], self.den)
+        for k, (c, t) in reversed([*enumerate(zip(self.ints, texts))]):
             if c:
                 zk = "" if k == 0 else "z" if k == 1 else f"z^{k}"
-                body = str(abs(c)) if not zk else zk if abs(c) == 1 else f"{abs(c)}*{zk}"
+                body = t if not zk else zk if t == "1" else f"{t}*{zk}"
                 sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
                 parts.append(sign + body)
         return " ".join(parts) or "0"

@@ -7,11 +7,13 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from ramanujan_popuc.cli import main
 from ramanujan_popuc.opuc_core import PopucSystem
+from ramanujan_popuc.polynomials import parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -451,6 +453,43 @@ def test_json_output_hash_is_unchanged(capsys, command):
     code, out, err = run_cli(capsys, *command.split(), "--format", "json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
+# SHA-256 of the whole table and CSV output of larger ladders, recorded
+# before the rational text form moved behind one render/parse pair
+GOLDEN_SHA256_TEXT = {
+    "popuc --m 211 --format table": (
+        "46acad4a1e688de8317f8e68b8c987cb8f512067d372ee054f85a9b89fa9ad7a"
+    ),
+    "popuc --m 211 --format csv": (
+        "7f91d3df7248741ca34b5e60c2e22487a5278c23de382461118c37aa3bd3e18f"
+    ),
+    "popuc --kronecker 1,6,13,15,21,25,26,35 --family sturmian --format csv": (
+        "6a3139e4e9e585ee0d41a4a725f8b41d7fb492064d1fed20dc6c4625d03ae6ad"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SHA256_TEXT))
+def test_text_output_hash_is_unchanged(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256_TEXT[command]
+
+
+def test_popuc_prints_minors_past_the_digit_limit(capsys):
+    # M = 1409 is prime, so Delta_n = p^(n-1) (p-n) / (p-1)^n with p = 1409,
+    # and Delta_{N+1} = Delta_{p-1} has more than 4300 digits
+    p = 1409
+    outputs = {}
+    for fmt in ("table", "csv", "json"):
+        code, outputs[fmt], err = run_cli(capsys, "popuc", "--m", str(p), "--format", fmt)
+        assert (code, err) == (0, "")
+    last = json.loads(outputs["json"])["delta"][-1]
+    assert len(last) > 4300
+    assert parse_rational(last) == Fraction(p ** (p - 2), (p - 1) ** (p - 1))
+    assert f"delta,{p - 2},,{last}\r\n" in outputs["csv"]
+    assert f"  {last}\nmoments    : " in outputs["table"]
 
 
 DUAL_123_TABLE = [

@@ -836,6 +836,25 @@ def test_from_json_dict_rejects_malformed_payloads():
         assert type(info.value.__cause__) is (cause or type(None))
 
 
+def test_sturmian_system_of_twelve_orders_round_trips_past_the_digit_limit():
+    # N + 1 = 224; its Delta_k pass Python's 4300-digit int/str limit
+    spec = KroneckerSpec([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41])
+    system = sturmian_from_charpoly(kronecker_poly(spec))
+    payload = system.to_json_dict()
+    assert max(len(d) for d in payload["delta"]) > 4300
+    clone = PopucSystem.from_json_dict(payload)
+    assert clone.delta == system.delta and clone.to_json_dict() == payload
+
+
+def test_check_delta_names_a_minor_past_the_digit_limit():
+    # at M = 1409, Delta_k has more than 4300 digits from about k = 1366
+    system = popuc_from_moments(moments_from_cyclotomic(1409), 1408)
+    delta = list(system.delta)
+    delta[-1] += 1
+    with pytest.raises(InternalInconsistencyError, match=r"^Delta_1408 = [0-9]{4300,}/"):
+        system.check_delta(delta, "perturbed minors")
+
+
 # -- the recurrence steps on the stored form ---------------------------------
 
 

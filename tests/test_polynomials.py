@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramanujan_popuc.errors import (
@@ -27,6 +27,8 @@ from ramanujan_popuc.polynomials import (
     anti_cyclotomic,
     cyclotomic,
     kronecker_poly,
+    parse_rational,
+    render_rationals,
 )
 
 
@@ -103,6 +105,35 @@ def test_json_round_trip():
     p = P(F(-1, 4), 0, F(2, 3), 1)
     assert Poly(map(F, p.to_json_list())) == p
     assert p.to_json_list() == ["-1/4", "0", "2/3", "1"]
+
+
+@given(nums=st.lists(st.integers()), den=st.integers(min_value=1))
+def test_render_rationals_writes_str_of_fraction_below_the_digit_limit(nums, den):
+    texts = [str(F(n, den)) for n in nums]
+    assert render_rationals(nums, den) == texts
+    assert render_rationals([F(n, den).as_integer_ratio() for n in nums]) == texts
+
+
+# an integer of 1 to 20 000 decimal digits; Python's int/str limit is 4300
+long_integers = st.integers(1, 20_000).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=long_integers, d=long_integers, sign=st.sampled_from([1, -1]))
+@example(n=10**4300, d=10**4299 + 1, sign=-1)  # 4301 and 4300 digits
+def test_parse_rational_inverts_render_rationals_at_any_length(n, d, sign):
+    f = F(sign * n, d)
+    (shared,) = render_rationals([sign * n], d)
+    (paired,) = render_rationals([f.as_integer_ratio()])
+    assert shared == paired and parse_rational(paired) == f
+    assert parse_rational(render_rationals([sign * n], 1)[0]) == sign * n
+
+
+def test_parse_rational_rejects_long_text_that_is_not_plain():
+    with pytest.raises(ValueError):
+        parse_rational("1" * 5000 + ".5")
+    with pytest.raises(ValueError):
+        parse_rational("+" + "1" * 5000)
 
 
 @settings(deadline=None, max_examples=150)
