@@ -55,8 +55,7 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
     phis = [Poly.from_ints([1] * n + [n_max - n + 2], n_max - n + 2) for n in range(n_max + 2)]
     a = [Fraction(-1, n_max - n + 1) for n in range(n_max + 1)]
     pivots = [p ** (n - 1) * (p - n) for n in range(1, n_max + 2)]
-    sigma = (Fraction(1),) + (Fraction(-1, p - 1),) * (p - 1)
-    moments = MomentSequence(sigma=sigma, provenance=family)
+    moments = MomentSequence.from_ints((p - 1,) + (-1,) * (p - 1), p - 1, family)
     system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
     system.check_delta(pivots, "closed form", p - 1)
     return system
@@ -77,8 +76,7 @@ def cf_ramanujan_2p(p: int) -> PopucSystem:
     phis = [Poly.one()]
     for a_n in a:
         phis.append(szego_step(phis[-1], a_n))
-    sigma = (Fraction(1),) + tuple(Fraction((-1) ** (n + 1), p - 1) for n in range(1, p))
-    moments = MomentSequence(sigma=sigma, provenance=family)
+    moments = MomentSequence.from_ints([p - 1] + [1, -1] * (p // 2), p - 1, family)
     return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
 
@@ -161,9 +159,6 @@ def cf_ramanujan_anti2p(p: int) -> PopucSystem:
     expected_terminal = Poly([-1, -1] + [0] * (p - 2) + [1, 1])
     if phis[-1] != expected_terminal:
         raise InternalInconsistencyError("ladder does not close on the anti-cyclotomic polynomial")
-    sigma = [Fraction(1)] + [
-        Fraction(p - 1, p + 1) if n == p else Fraction((-1) ** n, p + 1)
-        for n in range(1, p + 2)
-    ]
-    moments = MomentSequence(sigma=tuple(sigma), provenance=family)
+    sigma = [p + 1] + [p - 1 if n == p else (-1) ** n for n in range(1, p + 2)]
+    moments = MomentSequence.from_ints(sigma, p + 1, family)
     return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))

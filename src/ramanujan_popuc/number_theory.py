@@ -27,7 +27,7 @@ from .errors import InternalInconsistencyError, InvalidModulusError
 
 
 def _check_modulus(m: int) -> None:
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise InvalidModulusError(f"modulus must be a positive integer, got {m!r}")
 
 

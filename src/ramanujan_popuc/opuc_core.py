@@ -11,11 +11,11 @@ ladder whose reflection coefficients satisfy |a_k| < 1 for k < N and
 circle carrying a discrete orthogonality measure.
 
 Everything is exact.  Public values (moments, coefficients, norms,
-determinants, inner products) are ``Fraction`` or ``Poly``; norms and
-determinants are built only when read.  Every loop runs on integers over
-one common denominator per moment vector (once per ``MomentSequence``) or
-polynomial, the fraction-free idea of Bareiss (1968), with a gcd per step
-or per result: Bareiss elimination for single determinants, a
+determinants, inner products) read as ``Fraction`` or ``Poly``; moments,
+norms and determinants build their Fractions only when read.  Every loop
+runs on integers over one common denominator, the form a MomentSequence
+and a Poly store (the fraction-free idea of Bareiss 1968), with a gcd per
+step or per result: Bareiss elimination for single determinants, a
 content-reduced Schur sweep in O(n^2) for the leading minors (Bareiss
 1969, Collins 1967) whose integer pivots are matched against the integer
 norms (``_norm_step``), the O(N^2) ladder check (``_verify_annihilation``)
@@ -42,7 +42,8 @@ from .errors import (
     UnimodularConstantTermError,
 )
 from .number_theory import euler_totient, ramanujan_table
-from .polynomials import KroneckerSpec, Poly, _scaled, parse_rational, render_rationals
+from .polynomials import KroneckerSpec, Poly, _lowest_terms, _scaled
+from .polynomials import parse_rational, render_rationals
 
 
 def _text(x) -> str:
@@ -50,44 +51,54 @@ def _text(x) -> str:
     return render_rationals([x.as_integer_ratio()])[0]
 
 
+def _check_exact(values, name: str, where: str = "") -> None:
+    """InvalidPayloadError at the first value not an int or a Fraction (or a bool)."""
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            kind = type(v).__name__
+            raise InvalidPayloadError(f"{name}_{k} is a {kind}, not an int or a Fraction{where}")
+
+
 @dataclass(frozen=True)
 class MomentSequence:
-    """Trigonometric moments sigma_0..sigma_L of a positive measure on the
-    unit circle, with the real-measure symmetry sigma_{-n} = sigma_n."""
+    """Trigonometric moments sigma_t = ints[t] / den, t = 0..L, of a positive
+    measure on the unit circle (sigma_{-t} = sigma_t), stored as a Poly is
+    but with trailing zeros kept; ``sigma`` and ``at`` build Fractions."""
 
-    sigma: tuple[Fraction, ...]
-    provenance: str = "explicit"
+    ints: tuple[int, ...]
+    den: int
+    provenance: str
 
-    def __post_init__(self):
-        if not self.sigma:
+    def __init__(self, sigma, provenance: str = "explicit"):
+        _check_exact(sigma, "sigma", f" ({provenance})")
+        self.__dict__.update(vars(MomentSequence.from_ints(*_scaled(sigma), provenance)))
+
+    @staticmethod
+    def from_ints(ints, den: int, provenance: str) -> "MomentSequence":
+        """sigma_t = ints[t] / den (integers, den != 0) in the stored form."""
+        m = object.__new__(MomentSequence)
+        m.__dict__.update(zip(("ints", "den"), _lowest_terms(ints, den)), provenance=provenance)
+        if not m.ints:
             raise InsufficientMomentsError("a moment sequence needs sigma_0")
-        for k, s in enumerate(self.sigma):
-            if isinstance(s, bool) or not isinstance(s, (int, Fraction)):
-                raise InvalidPayloadError(
-                    f"sigma_{k} is a {type(s).__name__}, not an int or a Fraction "
-                    f"({self.provenance})"
-                )
-        if self.sigma[0] <= 0:
-            raise SingularMomentError(f"sigma_0 must be positive, got {_text(self.sigma[0])}")
+        if m.ints[0] <= 0:
+            raise SingularMomentError(f"sigma_0 must be positive, got {_text(m.at(0))}")
+        return m
+
+    @property
+    def sigma(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     @property
     def max_index(self) -> int:
-        return len(self.sigma) - 1
+        return len(self.ints) - 1
 
     def at(self, n: int) -> Fraction:
-        k = abs(n)
-        if k > self.max_index:
+        if abs(n) > self.max_index:
             raise InsufficientMomentsError(
                 f"moment sigma_{n} requested but only indices up to "
                 f"{self.max_index} are available ({self.provenance})"
             )
-        return self.sigma[k]
-
-    @cached_property
-    def _scaled_form(self) -> tuple[tuple[int, ...], int]:
-        """(S, D) with sigma_t == S[t] / D, D the least common denominator."""
-        ints, scale = _scaled(self.sigma)
-        return tuple(ints), scale
+        return Fraction(self.ints[abs(n)], self.den)
 
 
 def moments_from_cyclotomic(m: int, length: int | None = None) -> MomentSequence:
@@ -99,9 +110,7 @@ def moments_from_cyclotomic(m: int, length: int | None = None) -> MomentSequence
     phi = euler_totient(m)
     if length is None:
         length = phi
-    table = ramanujan_table(m, length)
-    sigma = tuple(Fraction(v, phi) for v in table.values)
-    return MomentSequence(sigma=sigma, provenance=f"cyclotomic:{m}")
+    return MomentSequence.from_ints(ramanujan_table(m, length).values, phi, f"cyclotomic:{m}")
 
 
 def moments_from_kronecker(spec: KroneckerSpec, length: int | None = None) -> MomentSequence:
@@ -112,11 +121,8 @@ def moments_from_kronecker(spec: KroneckerSpec, length: int | None = None) -> Mo
     total = spec.total_degree
     if length is None:
         length = total
-    tables = [ramanujan_table(m, length) for m in spec.orders]
-    sigma = tuple(
-        Fraction(sum(t.values[n] for t in tables), total) for n in range(length + 1)
-    )
-    return MomentSequence(sigma=sigma, provenance=f"kronecker:{spec.label}")
+    sums = map(sum, zip(*(ramanujan_table(m, length).values for m in spec.orders)))
+    return MomentSequence.from_ints(sums, total, f"kronecker:{spec.label}")
 
 
 def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
@@ -133,7 +139,7 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
     """
     if not charpoly.is_monic:
         raise InvalidCharacteristicError("power sums need a monic polynomial")
-    if charpoly[0] == 0:
+    if not charpoly.ints[0]:
         raise InvalidCharacteristicError("roots must be nonzero (constant term is 0)")
     d = charpoly.degree
     ints, scale = charpoly.ints, charpoly.den
@@ -147,8 +153,8 @@ def moments_from_power_sums(charpoly: Poly, length: int) -> MomentSequence:
         if k <= d:
             acc += k * q[d - k]
         power.append(-acc)
-    sigma = tuple(Fraction(s, d * scale**k) for k, s in enumerate(power))
-    return MomentSequence(sigma=sigma, provenance="power-sums")
+    ints = [s * scale ** (length - k) for k, s in enumerate(power)]  # sigma_k = P_k / (d E^k)
+    return MomentSequence.from_ints(ints, d * scale**length, "power-sums")
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +169,7 @@ def _scaled_prefix(m: MomentSequence, n: int) -> tuple[tuple[int, ...], int]:
         raise InsufficientMomentsError(
             f"Toeplitz determinant of size {n} needs moments up to sigma_{n - 1}"
         )
-    ints, scale = m._scaled_form
-    ints = ints[:n]
-    g = gcd(scale, *ints)  # D / g is the least common denominator of the prefix
-    return (tuple(x // g for x in ints), scale // g) if g != 1 else (ints, scale)
+    return _lowest_terms(m.ints[:n], m.den)
 
 
 def _scaled_moments(m: MomentSequence, count: int) -> tuple[tuple[int, ...], int]:
@@ -389,6 +392,7 @@ class VerblunskySequence:
     def __post_init__(self):
         if not self.a:
             raise TerminalMassError("need at least the terminal coefficient")
+        _check_exact(self.a, "a")
         for k, v in enumerate(self.a[:-1]):
             if abs(v.numerator) >= v.denominator:
                 raise SingularMomentError(
@@ -440,7 +444,7 @@ class PopucSystem:
         for n, phi in enumerate(self.phis):
             if phi.degree != n or not phi.is_monic:
                 raise InternalInconsistencyError(f"rung {n} is not monic of degree {n}")
-        if self.moments.at(0) != 1:
+        if self.moments.ints[0] != self.moments.den:
             raise InternalInconsistencyError("systems are normalized to sigma_0 = 1")
 
     @cached_property
@@ -503,7 +507,7 @@ class PopucSystem:
             "verblunsky": self.verblunsky.to_json_list(),
             "h": render_rationals(self._norms),
             "delta": render_rationals([v.as_integer_ratio() for v in self.delta]),
-            "moments": render_rationals([s.as_integer_ratio() for s in self.moments.sigma]),
+            "moments": render_rationals(self.moments.ints, self.moments.den),
         }
 
     def to_json_dict(self) -> dict:
@@ -553,8 +557,9 @@ class PopucSystem:
                     f"payload Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
                 )
         mismatch = "payload moments are not the ones the ladder implies"
-        implied = moments_from_ladder(list(system.phis), system.family).sigma
-        if system.moments.sigma[: len(implied)] != implied:
+        implied = moments_from_ladder(list(system.phis), family)
+        prefix = _lowest_terms(system.moments.ints[: len(implied.ints)], system.moments.den)
+        if prefix != (implied.ints, implied.den):
             raise InternalInconsistencyError(mismatch)
         try:
             _check_moments_past_terminal(system.moments, system.terminal)
@@ -580,15 +585,14 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
     """Phi_{N+1} vanishes on the support, so <z^j Phi_{N+1}, 1> = 0 for
     every j >= 0: each moment past sigma_{N+1} is fixed by the ones below
     it.  Raise TerminalMassError naming the first sigma_k that is not."""
-    d, lower = terminal.degree, terminal.ints[:-1]
-    sigma, scale = m._scaled_form
+    d, lower, sigma = terminal.degree, terminal.ints[:-1], m.ints
     for k in range(d + 1, m.max_index + 1):
         # D * E times the sigma_k that Phi_d = C / E implies, for sigma_t = S_t / D
         implied = -sum(map(mul, lower, sigma[k - d :]))
         if implied != terminal.den * sigma[k]:
             raise TerminalMassError(
-                f"sigma_{k} = {_text(m.sigma[k])}, but the terminal rung Phi_{d} implies "
-                f"{_text(Fraction(implied, scale * terminal.den))} ({m.provenance})"
+                f"sigma_{k} = {_text(m.at(k))}, but the terminal rung Phi_{d} implies "
+                f"{_text(Fraction(implied, m.den * terminal.den))} ({m.provenance})"
             )
 
 
@@ -714,7 +718,7 @@ def popuc_from_moments(
             f"building {n_terminal + 1} rungs needs sigma_0..sigma_{n_terminal}, "
             f"got up to sigma_{m.max_index}"
         )
-    if m.at(0) != 1:
+    if m.ints[0] != m.den:
         raise SingularMomentError("ladder construction expects sigma_0 = 1")
 
     pivots, scale = _schur_minors(m, n_terminal + 1)  # P_k = D^k Delta_k, k = 1..N+2
@@ -777,7 +781,7 @@ def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:
             grow = div // gcd(den, div)
             ints, den = [x * grow for x in ints], den * grow
         ints.append(num * (den // div))
-    return MomentSequence(sigma=tuple(Fraction(x, den) for x in ints), provenance=provenance)
+    return MomentSequence.from_ints(ints, den, provenance)
 
 
 def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:

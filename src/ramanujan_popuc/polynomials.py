@@ -54,6 +54,14 @@ def _scaled(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _lowest_terms(ints, den: int) -> tuple[tuple[int, ...], int]:
+    """The stored form of a Poly and a MomentSequence: (ints, den != 0) over
+    their gcd, signed so that the denominator is positive."""
+    ints = tuple(ints)
+    g = gcd(*ints, den) if den > 0 else -gcd(*ints, den)
+    return (tuple(c // g for c in ints) if g != 1 else ints), den // g
+
+
 def render_rationals(values, den: int | None = None) -> list[str]:
     """str(Fraction) of each value, a whole list per call: integers over
     one positive den (each pair is reduced), or (numerator, denominator)
@@ -80,14 +88,17 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:
         if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
             raise
-        return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+        parts = [int(Decimal(part)) for part in text.split("/")]
+        if parts[1:] == [0]:  # Fraction's own message would print the numerator
+            raise ZeroDivisionError("the denominator is 0")
+        return Fraction(*parts)
 
 
 class Poly:
     """Immutable dense polynomial with exact rational coefficients.
 
     The coefficient of z^k is ints[k] / den, with den > 0, gcd(ints, den)
-    = 1 and no trailing zero: the form ``_scaled`` gives, so equal
+    = 1 (``_lowest_terms``) and no trailing zero, so equal
     polynomials have equal stored forms.  Every operation runs on the
     integers and divides out their content once.  ``coeffs`` and ``p[k]``
     are Fractions built on demand.  Division is available only when exact.
@@ -105,9 +116,8 @@ class Poly:
         ints = list(ints)
         while ints and not ints[-1]:
             ints.pop()
-        g = gcd(*ints, den) if den > 0 else -gcd(*ints, den)
         p = object.__new__(Poly)
-        p.ints, p.den = (tuple(c // g for c in ints) if g != 1 else tuple(ints)), den // g
+        p.ints, p.den = _lowest_terms(ints, den)
         return p
 
     # -- constructors ------------------------------------------------

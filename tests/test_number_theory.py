@@ -20,6 +20,7 @@ from ramanujan_popuc.number_theory import (
     ramanujan_sum_fast,
     ramanujan_table,
 )
+from ramanujan_popuc.opuc_core import moments_from_cyclotomic
 
 
 def phi_brute(m: int) -> int:
@@ -173,6 +174,14 @@ def test_table_catches_routes_that_disagree_inside_the_first_period(monkeypatch,
     for length in (5, 11, 12, 36):
         with pytest.raises(InternalInconsistencyError, match=r"c_12\(5\)"):
             ramanujan_table(12, length)
+
+
+def test_modulus_rejects_a_bool():
+    # True == 1, but a flag is not a modulus: no table or moments labelled True
+    for call in (euler_totient, lambda m: ramanujan_table(m, 3),
+                 lambda m: moments_from_cyclotomic(m, 2)):
+        with pytest.raises(InvalidModulusError, match="got True$"):
+            call(True)
 
 
 def test_table_rejects_bad_input():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramanujan_popuc import duality, opuc_core
+from ramanujan_popuc import duality, opuc_core, polynomials
 from ramanujan_popuc.duality import build_dual_pair, sturmian_from_charpoly
 from ramanujan_popuc.errors import (
     InsufficientMomentsError,
@@ -45,6 +45,7 @@ from ramanujan_popuc.opuc_core import (
 from ramanujan_popuc.polynomials import (
     KroneckerSpec,
     Poly,
+    _scaled,
     anti_cyclotomic,
     cyclotomic,
     kronecker_poly,
@@ -218,6 +219,66 @@ def test_moment_sequence_rejects_entries_that_are_not_rational(sigma, index, kin
     message = f"sigma_{index} is a {kind}, not an int or a Fraction (explicit)"
     with pytest.raises(InvalidPayloadError, match=re.escape(message)):
         MomentSequence(sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "a, index, kind",
+    [
+        ((0.5, 1), 0, "float"),
+        (("1/2", 1), 0, "str"),
+        ((F(1, 2), 1.0), 1, "float"),
+        ((F(1, 2), False, -1), 1, "bool"),  # |False| < 1 passed as an interior a_k
+        ((True,), 0, "bool"),  # |True| = 1 passed as the terminal a_N
+    ],
+)
+def test_verblunsky_sequence_rejects_entries_that_are_not_rational(a, index, kind):
+    message = f"a_{index} is a {kind}, not an int or a Fraction"
+    with pytest.raises(InvalidPayloadError, match=f"^{re.escape(message)}$"):
+        VerblunskySequence(a)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sigma_0=st.fractions(min_value=F(1, 8), max_value=3, max_denominator=12),
+    rest=st.lists(rationals, max_size=9),
+    factor=st.integers(-30, 30).filter(bool),
+)
+def test_stored_form_matches_the_public_constructor(sigma_0, rest, factor):
+    sigma = (sigma_0, *rest)
+    m = MomentSequence(sigma)
+    ints, den = _scaled(sigma)
+    assert m.den > 0 and gcd(m.den, *m.ints) == 1 and len(m.ints) == len(sigma)
+    # any integer multiple of the form reads back the same values
+    for stored in (
+        MomentSequence.from_ints(ints, den, "explicit"),
+        MomentSequence.from_ints([factor * c for c in ints], factor * den, "explicit"),
+    ):
+        assert stored == m and hash(stored) == hash(m)
+        assert stored.sigma == m.sigma == sigma
+    assert MomentSequence(sigma, "other") != m
+
+
+def test_moment_producers_build_no_fraction(monkeypatch):
+    sturmian = sturmian_from_charpoly(kronecker_poly(KroneckerSpec([1, 2, 5])))
+    assert any(phi.den > 1 for phi in sturmian.phis)
+    spec = KroneckerSpec([7, 11, 13, 17, 19, 23, 29, 31])
+    charpoly = P(F(1, 2), F(-2, 3), F(3, 4), 1)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built by a moment producer")
+
+    with monkeypatch.context() as patch:
+        for module in (opuc_core, polynomials):
+            patch.setattr(module, "Fraction", no_fraction)
+        cyclotomic_moments = moments_from_cyclotomic(211)
+        kronecker_moments = moments_from_kronecker(spec)
+        ladder_moments = moments_from_ladder(list(sturmian.phis), "sturmian")
+        power_moments = moments_from_power_sums(charpoly, 8)
+    assert cyclotomic_moments.ints == (210,) + (-1,) * 210 and cyclotomic_moments.den == 210
+    newton = moments_from_power_sums(kronecker_poly(spec), spec.total_degree)
+    assert kronecker_moments.sigma == newton.sigma
+    assert ladder_moments == sturmian.moments
+    assert power_moments.sigma == newton_reference(charpoly, 8)
 
 
 # -- Toeplitz determinants ----------------------------------------------------
@@ -834,6 +895,15 @@ def test_from_json_dict_rejects_malformed_payloads():
             PopucSystem.from_json_dict(malformed)
         assert isinstance(info.value, ValueError)
         assert type(info.value.__cause__) is (cause or type(None))
+
+
+def test_from_json_dict_names_a_zero_denominator_past_the_digit_limit():
+    payload = popuc_from_moments(moments_from_cyclotomic(5), 4).to_json_dict()
+    malformed = {**payload, "moments": ["1", "1" * 5000 + "/0"]}
+    message = "payload moments: the denominator is 0"
+    with pytest.raises(InvalidPayloadError, match=f"^{re.escape(message)}$") as info:
+        PopucSystem.from_json_dict(malformed)
+    assert type(info.value.__cause__) is ZeroDivisionError
 
 
 def test_sturmian_system_of_twelve_orders_round_trips_past_the_digit_limit():

@@ -129,6 +129,12 @@ def test_parse_rational_inverts_render_rationals_at_any_length(n, d, sign):
     assert parse_rational(render_rationals([sign * n], 1)[0]) == sign * n
 
 
+def test_parse_rational_names_a_zero_denominator_past_the_digit_limit():
+    for text in ("1" * 5000 + "/0", "-1/" + "0" * 5000):
+        with pytest.raises(ZeroDivisionError, match="^the denominator is 0$"):
+            parse_rational(text)
+
+
 def test_parse_rational_rejects_long_text_that_is_not_plain():
     with pytest.raises(ValueError):
         parse_rational("1" * 5000 + ".5")
