@@ -565,7 +565,7 @@ class PopucSystem:
             _check_moments_past_terminal(system.moments, system.terminal)
         except TerminalMassError as exc:
             raise InternalInconsistencyError(f"{mismatch}: {exc}") from exc
-        if values["h"] != system.h:
+        if tuple(h.as_integer_ratio() for h in values["h"]) != system._norms:
             raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
         system.check_delta(values["delta"], "payload")
         return system
@@ -661,20 +661,20 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
 def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     """Phi_n by the bordered-determinant formula: expand the matrix whose
     top n rows are the moments sigma_{j-i} (j = 0..n) and whose last row
-    is 1, z, ..., z^n along that last row, then divide by Delta_n.
+    is 1, z, ..., z^n along that last row, then divide by Delta_n, which
+    is the cofactor of z^n (all cofactors carry D^n over S_t = D sigma_t).
 
     Brute force on purpose: this is the independent cross-check for the
     recurrence-built ladder."""
-    if n == 0:
-        return Poly.one()
-    delta_n = toeplitz_det(m, n)
-    if delta_n == 0:
-        raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
-    ints, scale = _scaled_prefix(m, n + 1)
+    if n < 0:
+        raise InvalidModulusError(f"rung index must be >= 0, got {n}")
+    ints, _ = _scaled_prefix(m, n + 1)
     rows = [[ints[abs(c - i)] for c in range(n + 1)] for i in range(n)]
     cofactors = [_bareiss_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
-    cofactors = [(-1) ** (n + j) * c for j, c in enumerate(cofactors)]  # times scale^n
-    return Poly.from_ints(cofactors, scale**n) * (1 / delta_n)
+    cofactors = [(-1) ** (n + j) * c for j, c in enumerate(cofactors)]  # times D^n
+    if cofactors[n] == 0:  # the leading minor D^n * Delta_n, empty (1) for n = 0
+        raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
+    return Poly.from_ints(cofactors, cofactors[n])
 
 
 def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
@@ -697,10 +697,12 @@ def popuc_from_moments(
 ) -> PopucSystem:
     """Build the full ladder Phi_0..Phi_{N+1} from moments, N+1 = n_plus_1.
 
-    The reflection coefficients come from a Levinson-style update
-    a_n = <z Phi_n, 1> / h_n.  One Schur sweep over sigma_0..sigma_{N+1}
-    finds the Toeplitz minors independently: Delta_1..Delta_{N+1} must be
-    positive and equal the products of the norms (``check_delta``), and
+    A Levinson-style update reads a_n = <z Phi_n, 1> / <Phi_n^*, 1> and
+    keeps no norm.  Phi_n^* is orthogonal to z^1..z^n, so for Phi_n = C / E
+    and S_t = D sigma_t, sum_k C_k S_{n-k} = D E h_n, positive because the
+    Schur sweep over sigma_0..sigma_{N+1} passed Delta_1..Delta_{N+1} > 0.
+    The sweep reads the moment table alone, so by an independent route its
+    minors must equal the products of the norms (``check_delta``), and
     Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2) must be 0.  Every rung must
     annihilate z^0..z^{n-1}, checked in O(N^2) (``_verify_annihilation``).
     With paranoid=True every rung is also compared, coefficient by
@@ -723,28 +725,24 @@ def popuc_from_moments(
 
     pivots, scale = _schur_minors(m, n_terminal + 1)  # P_k = D^k Delta_k, k = 1..N+2
 
-    # sigma[k] = D * sigma_{k+1}, so D * E * <z Phi_n, 1> = sum_k C_k sigma[k] for Phi_n = C / E
-    sigma = _scaled_prefix(m, n_terminal + 1)[0][1:]
+    ints = _scaled_prefix(m, n_terminal + 1)[0]  # S_t, so D E <z Phi_n, 1> = sum_k C_k S_{k+1}
     phis = [Poly.one()]
     a: list[Fraction] = []
-    h_n = (1, 1)  # h_n = h_n[0] / h_n[1]
     for n in range(n_terminal):
-        phi = phis[n]
-        a_n = Fraction(sum(map(mul, phi.ints, sigma)) * h_n[1], phi.den * scale * h_n[0])
-        if n < n_terminal - 1:
-            if abs(a_n.numerator) >= a_n.denominator:
-                raise SingularMomentError(
-                    f"|a_{n}| = {_text(abs(a_n))} >= 1: moments are not positive-definite "
-                    f"through order {n + 2} ({m.provenance})"
-                )
-        elif abs(a_n.numerator) != a_n.denominator:
+        c = phis[n].ints
+        a_n = Fraction(sum(map(mul, c, ints[1 : n + 2])), sum(map(mul, c, ints[n::-1])))
+        if n < n_terminal - 1 and abs(a_n.numerator) >= a_n.denominator:
+            raise SingularMomentError(
+                f"|a_{n}| = {_text(abs(a_n))} >= 1: moments are not positive-definite "
+                f"through order {n + 2} ({m.provenance})"
+            )
+        if n == n_terminal - 1 and abs(a_n.numerator) != a_n.denominator:
             raise TerminalMassError(
                 f"|a_{n_terminal - 1}| = {_text(abs(a_n))} != 1: moments do not describe "
                 f"an {n_terminal}-point measure ({m.provenance})"
             )
         a.append(a_n)
-        phis.append(szego_step(phi, a_n))
-        h_n = _norm_step(h_n, a_n)
+        phis.append(szego_step(phis[n], a_n))
 
     system = PopucSystem(
         family=family or m.provenance,

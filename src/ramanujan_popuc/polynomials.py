@@ -28,10 +28,12 @@ from .errors import (
     InvalidModulusError,
     NonzeroRemainderError,
 )
-from .number_theory import divisors, euler_totient
+from .number_theory import _check_modulus, divisors, euler_totient
 
 
 def _as_fraction(x) -> Fraction:
+    if type(x) is Fraction:  # no copy; a subclass is converted below
+        return x
     if isinstance(x, (Fraction, int, str)):
         return parse_rational(x) if isinstance(x, str) else Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
@@ -124,16 +126,16 @@ class Poly:
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly.from_ints(())
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly.from_ints((1,))
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
         """c * z^k."""
-        return Poly((0,) * k + (c,))
+        return Poly.from_ints((0,) * k + (1,)) * _as_fraction(c)
 
     # -- basic queries -----------------------------------------------
 
@@ -314,6 +316,7 @@ def cyclotomic(m: int) -> Poly:
     cyclotomic polynomials of all proper divisors.  lru_cache is
     thread-safe, so concurrent callers are fine.
     """
+    _check_modulus(m)
     num = Poly.monomial(m) - Poly.one()
     den = Poly.one()
     for d in divisors(m):
@@ -326,6 +329,7 @@ def anti_cyclotomic(m: int) -> Poly:
     """(z^m - 1) / C_m(z): the monic polynomial whose roots are the
     non-primitive m-th roots of unity.  Degree m - phi(m); equals the
     constant 1 when m = 1."""
+    _check_modulus(m)
     num = Poly.monomial(m) - Poly.one()
     return num.divexact(cyclotomic(m))
 

@@ -17,6 +17,7 @@ from ramanujan_popuc.errors import (
     InsufficientMomentsError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
+    InvalidModulusError,
     InvalidPayloadError,
     PopucError,
     SingularMomentError,
@@ -628,6 +629,52 @@ def test_determinant_formula_matches_recurrence():
             assert determinant_formula_poly(m, n) == system.phis[n]
 
 
+def bordered_oracle(m, n):
+    """Phi_n as the cofactors of the bordered moment matrix, by Gaussian
+    elimination on Fractions, over Delta_n from ``toeplitz_det``."""
+    rows = [[m.at(c - i) for c in range(n + 1)] for i in range(n)]
+    cofactors = [det_gaussian([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
+    return Poly([(-1) ** (n + j) * c for j, c in enumerate(cofactors)]) * (1 / toeplitz_det(m, n))
+
+
+def test_determinant_formula_rejects_a_zero_minor_and_divides_by_a_negative_one():
+    message = "Delta_2 = 0; determinant formula undefined"
+    with pytest.raises(SingularMomentError, match=re.escape(message)):
+        determinant_formula_poly(MomentSequence((1, 1, 1)), 2)
+    indefinite = MomentSequence((1, F(5, 2), F(13, 2)))
+    assert toeplitz_det(indefinite, 2) == F(-21, 4)
+    expected = P(F(1, 21), F(-55, 21), 1)
+    assert determinant_formula_poly(indefinite, 2) == expected == bordered_oracle(indefinite, 2)
+    assert determinant_formula_poly(indefinite, 0) == Poly.one()
+    with pytest.raises(InvalidModulusError, match=re.escape("rung index must be >= 0, got -1")):
+        determinant_formula_poly(indefinite, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_moments)
+def test_determinant_formula_matches_the_cofactor_oracle_on_random_moments(m):
+    """Every rung the moments define, positive, negative or zero minors
+    below it: Delta_n read off the last cofactor is Delta_n by Bareiss."""
+    assert determinant_formula_poly(m, 0) == Poly.one()
+    for n in range(1, m.max_index + 1):
+        if toeplitz_det(m, n) == 0:
+            with pytest.raises(SingularMomentError, match=re.escape(f"Delta_{n} = 0;")):
+                determinant_formula_poly(m, n)
+        else:
+            assert determinant_formula_poly(m, n) == bordered_oracle(m, n)
+
+
+def test_the_levinson_loop_takes_no_norm_step(monkeypatch):
+    """h_n has one home, ``PopucSystem._norms``: a build steps the norm
+    recurrence N times, once per h_1..h_N, when check_delta reads them."""
+    steps = []
+    step = opuc_core._norm_step
+    monkeypatch.setattr(opuc_core, "_norm_step", lambda h, a: steps.append(a) or step(h, a))
+    system = popuc_from_moments(moments_from_cyclotomic(211), 210)
+    assert len(steps) == system.n_max == 209
+    assert tuple(steps) == system.verblunsky.a[:-1]
+
+
 def test_terminal_is_cyclotomic_sweep():
     for m in range(1, 61):
         system = popuc_from_moments(
@@ -865,6 +912,27 @@ def test_from_json_dict_rejects_payloads_that_disagree_with_verblunsky():
     bad = {**longer, "moments": [*longer["moments"][:12], "1/2"]}
     with pytest.raises(InternalInconsistencyError, match="payload moments"):
         PopucSystem.from_json_dict(bad)
+
+
+def test_loading_a_payload_parses_each_string_once(monkeypatch):
+    """Each payload string becomes one Fraction and a rung coefficient is
+    not copied into its Poly; h is compared as integer pairs."""
+    payload = popuc_from_moments(moments_from_cyclotomic(31), 30).to_json_dict()
+    strings = sum(len(payload[key]) for key in ("verblunsky", "h", "delta", "moments"))
+    strings += sum(map(len, payload["phis"]))
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    system = PopucSystem.from_json_dict(payload)
+    monkeypatch.undo()
+    assert strings == 617 and system.n_max + 1 == 30
+    assert len(built) <= strings + 5 * 30
+    assert system.to_json_dict() == payload
 
 
 def test_popuc_rejects_moments_past_the_terminal_rung_it_does_not_imply():

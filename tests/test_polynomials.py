@@ -24,6 +24,7 @@ from ramanujan_popuc.number_theory import (
 from ramanujan_popuc.polynomials import (
     KroneckerSpec,
     Poly,
+    _as_fraction,
     anti_cyclotomic,
     cyclotomic,
     kronecker_poly,
@@ -357,3 +358,38 @@ def test_kronecker_spec_rejects_non_integer_orders():
     for bad in (2.5, "3", True, F(3), 3.0):
         with pytest.raises(InvalidModulusError, match=re.escape(repr(bad))):
             KroneckerSpec([1, bad])
+
+
+@pytest.mark.parametrize("bad", [2.0, "5", 0, -3, True])
+@pytest.mark.parametrize("build", [cyclotomic, anti_cyclotomic])
+def test_cyclotomic_orders_are_checked_as_moduli(build, bad):
+    assert cyclotomic(1) == P(-1, 1)  # cached; True hashes as 1 but is still rejected
+    with pytest.raises(InvalidModulusError, match=re.escape(f"got {bad!r}")):
+        build(bad)
+
+
+class _Tagged(F):
+    pass
+
+
+def test_a_plain_fraction_enters_a_poly_uncopied():
+    f = F(3, 7)
+    assert _as_fraction(f) is f
+    converted = _as_fraction(_Tagged(3, 7))
+    assert type(converted) is F and converted == f
+    assert _as_fraction(2) == F(2) and _as_fraction("-5/10") == F(-1, 2)
+
+
+@pytest.mark.parametrize("c", [1, -4, F(-3, 8), "5/6", "-2"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_monomial_from_integers_matches_the_general_constructor(k, c):
+    p = Poly.monomial(k, c)
+    assert p == Poly((0,) * k + (c,)) and p.degree == k
+    assert p[k] == _as_fraction(c) and all(p[j] == 0 for j in range(k))
+
+
+def test_monomial_of_zero_is_zero_and_of_a_non_rational_raises():
+    assert Poly.monomial(2, 0) == Poly.zero() and Poly.monomial(2, F(0)).is_zero
+    for bad in (2.5, Poly.one()):
+        with pytest.raises(TypeError, match="as an exact coefficient"):
+            Poly.monomial(2, bad)
