@@ -36,7 +36,6 @@ from .errors import (
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
-    TerminalMassError,
     UnimodularConstantTermError,
     WeightCheckFailureError,
 )
@@ -59,13 +58,10 @@ def mirror_dual(v: VerblunskySequence) -> VerblunskySequence:
     """The mirror map ta_n = -a_N * a_{N-n-1} with a_{-1} = -1.
 
     Real case: conjugation is the identity.  The map is an involution
-    because a_N^2 = 1, and it fixes the terminal coefficient.  With
-    a_N = +-1 the product is a negation or nothing."""
-    a_terminal, n = v[v.n_max], v.n_max
-    if abs(a_terminal.numerator) != a_terminal.denominator:
-        raise TerminalMassError("mirror map needs |a_N| = 1")
-    chain = (*reversed(v.a[:n]), Fraction(-1))  # a_{N-1}, ..., a_0, a_{-1}
-    return VerblunskySequence(tuple(-x for x in chain) if a_terminal > 0 else chain)
+    because a_N^2 = 1 (a VerblunskySequence holds it), and it fixes the
+    terminal coefficient.  With a_N = +-1 the product is a negation or nothing."""
+    chain = (*reversed(v.a[:-1]), Fraction(-1))  # a_{N-1}, ..., a_0, a_{-1}
+    return VerblunskySequence(tuple(-x for x in chain) if v.a[-1] > 0 else chain)
 
 
 def sturmian_from_charpoly(
@@ -79,7 +75,7 @@ def sturmian_from_charpoly(
     kronecker_poly output); anything else surfaces as
     InvalidCharacteristicError or InteriorCoefficientOutOfRangeError.
     With paranoid=True every rung is re-derived from the reconstructed
-    moments through the bordered-determinant formula.
+    moments through the bordered-determinant formula, in one elimination.
     """
     n1 = charpoly.degree  # N + 1
     if n1 < 1 or not charpoly.is_monic:
@@ -104,7 +100,7 @@ def sturmian_from_charpoly(
             current, a_k = inverse_szego_step(current)
             ladder.append(current)
             coeffs.append(a_k)
-    except (UnimodularConstantTermError, InternalInconsistencyError) as exc:
+    except UnimodularConstantTermError as exc:
         raise InvalidCharacteristicError(
             f"descent failed below degree {current.degree}: {exc}"
         ) from exc

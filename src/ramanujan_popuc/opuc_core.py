@@ -15,7 +15,7 @@ determinants, inner products) read as ``Fraction`` or ``Poly``; moments,
 norms and determinants build their Fractions only when read.  Every loop
 runs on integers over one common denominator, the form a MomentSequence
 and a Poly store (the fraction-free idea of Bareiss 1968), with a gcd per
-step or per result: Bareiss elimination for single determinants, a
+step or per result: Bareiss elimination for determinants and rungs, a
 content-reduced Schur sweep in O(n^2) for the leading minors (Bareiss
 1969, Collins 1967) whose integer pivots are matched against the integer
 norms (``_norm_step``), the O(N^2) ladder check (``_verify_annihilation``)
@@ -179,40 +179,45 @@ def _scaled_moments(m: MomentSequence, count: int) -> tuple[tuple[int, ...], int
     return ints[:0:-1] + ints, scale
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination with
-    row pivoting; all intermediate values stay integers."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+def _bareiss(rows: list[list[int]], width: int) -> tuple[int, int]:
+    """Fraction-free forward elimination (Bareiss 1968) in place, pivoting
+    by row swaps in the first ``width`` columns and updating all columns:
+    entry (i, j) after step k is the minor on rows 0..k, i and columns
+    0..k, j, so each division is exact.  Return the number of swaps and the
+    last pivot: 1 for width 0, 0 at a column with no pivot."""
+    swaps, prev = 0, 1
+    for k in range(width):
+        i = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if i is None:
+            return swaps, 0
+        rows[k], rows[i] = rows[i], rows[k]
+        swaps += i > k
+        top, pivot = rows[k][k:], rows[k][k]
+        for row in rows[k + 1 :]:
+            row[k:] = [(pivot * y - row[k] * t) // prev for y, t in zip(row[k:], top)]
+        prev = pivot
+    return swaps, prev
 
 
 def toeplitz_det(m: MomentSequence, n: int) -> Fraction:
     """Delta_n, the determinant of the n x n moment matrix; Delta_0 = 1."""
     if n < 0:
         raise InvalidModulusError(f"determinant size must be >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
     ints, scale = _scaled_prefix(m, n)
     rows = [[ints[abs(j - i)] for j in range(n)] for i in range(n)]  # D * sigma_{j-i}
-    return Fraction(_bareiss_det(rows), scale**n)
+    swaps, pivot = _bareiss(rows, n)
+    return Fraction((-1) ** swaps * pivot, scale**n)
+
+
+def _bordered_elimination(m: MomentSequence, count: int) -> tuple[int | None, list[list[int]]]:
+    """(swaps or None if a column has no pivot, right blocks) of [T | I],
+    T = (D sigma_{j-i}) of size count, after ``_bareiss`` over count - 1
+    columns; row r's v_i is det of rows 0..r of [T[:, :r] | e_i], swapped."""
+    ints, _ = _scaled_prefix(m, count)
+    rows = [[ints[abs(j - i)] for j in range(count)] + [int(i == j) for j in range(count)]
+            for i in range(count)]
+    swaps, pivot = _bareiss(rows, count - 1)
+    return (swaps if pivot else None), [row[count:] for row in rows]
 
 
 def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
@@ -362,9 +367,7 @@ def inverse_szego_step(phi_next: Poly) -> tuple[Poly, Fraction]:
         raise UnimodularConstantTermError(
             f"|constant term| = 1 in {phi_next}; descent cannot continue"
         )
-    num = [d * x - ints[0] * y for x, y in zip(ints, ints[::-1])]
-    if num[0] != 0:
-        raise InternalInconsistencyError("descent numerator kept a constant term")
+    num = [d * x - ints[0] * y for x, y in zip(ints, ints[::-1])]  # num[0] = 0: monic
     return Poly.from_ints(num[1:], d * d - ints[0] * ints[0]), Fraction(-ints[0], d)
 
 
@@ -662,27 +665,31 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     """Phi_n by the bordered-determinant formula: expand the matrix whose
     top n rows are the moments sigma_{j-i} (j = 0..n) and whose last row
     is 1, z, ..., z^n along that last row, then divide by Delta_n, which
-    is the cofactor of z^n (all cofactors carry D^n over S_t = D sigma_t).
-
-    Brute force on purpose: this is the independent cross-check for the
-    recurrence-built ladder."""
+    is the cofactor of z^n.  They are (-1)^swaps times the last row of
+    ``_bordered_elimination`` of size n + 1, whatever the lower minors."""
     if n < 0:
         raise InvalidModulusError(f"rung index must be >= 0, got {n}")
-    ints, _ = _scaled_prefix(m, n + 1)
-    rows = [[ints[abs(c - i)] for c in range(n + 1)] for i in range(n)]
-    cofactors = [_bareiss_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
-    cofactors = [(-1) ** (n + j) * c for j, c in enumerate(cofactors)]  # times D^n
-    if cofactors[n] == 0:  # the leading minor D^n * Delta_n, empty (1) for n = 0
+    swaps, rows = _bordered_elimination(m, n + 1)
+    if swaps is None or not rows[n][n]:
         raise SingularMomentError(f"Delta_{n} = 0; determinant formula undefined")
-    return Poly.from_ints(cofactors, cofactors[n])
+    return Poly.from_ints(rows[n], rows[n][n])
 
 
 def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
     """The paranoid cross-check of a ladder built by `route`: every rung
     Phi_1..Phi_{N+1} must equal the bordered-determinant formula on the
-    moments m, coefficient by coefficient."""
+    moments m, all read from one O(N^3) ``_bordered_elimination``.  The
+    builders proved Delta_1..Delta_{N+1} > 0, and with no swap before it
+    column k has the pivot D^{k+1} Delta_{k+1}, so no swap occurs (one
+    raises) and row n's block is the cofactors of Phi_n, then zeros, for
+    every n <= N+1: the terminal rung too, whose pivot Delta_{N+2} = 0 is
+    never needed.  The route reads the moment table alone, with no Toeplitz
+    structure, recurrence or Schur step, so it stays independent."""
+    swaps, rows = _bordered_elimination(m, len(phis))
+    if swaps != 0:
+        raise InternalInconsistencyError(f"Delta_k = 0 for some k < {len(phis)} ({m.provenance})")
     for n in range(1, len(phis)):
-        det_poly = determinant_formula_poly(m, n)
+        det_poly = Poly.from_ints(rows[n], rows[n][n])
         if det_poly != phis[n]:
             raise InternalInconsistencyError(
                 f"rung {n}: {route} gives {phis[n]}, determinant formula {det_poly}"
@@ -701,12 +708,14 @@ def popuc_from_moments(
     keeps no norm.  Phi_n^* is orthogonal to z^1..z^n, so for Phi_n = C / E
     and S_t = D sigma_t, sum_k C_k S_{n-k} = D E h_n, positive because the
     Schur sweep over sigma_0..sigma_{N+1} passed Delta_1..Delta_{N+1} > 0.
-    The sweep reads the moment table alone, so by an independent route its
-    minors must equal the products of the norms (``check_delta``), and
+    So is 1 - a_n^2 = Delta_{n+2} Delta_n / Delta_{n+1}^2 for n < N: only
+    |a_N| = 1 is tested (``VerblunskySequence`` holds the rest).  The sweep
+    reads the moment table alone, so by an independent route its minors
+    must equal the products of the norms (``check_delta``), and
     Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2) must be 0.  Every rung must
     annihilate z^0..z^{n-1}, checked in O(N^2) (``_verify_annihilation``).
-    With paranoid=True every rung is also compared, coefficient by
-    coefficient, with the bordered-determinant formula.
+    With paranoid=True every rung is also compared with the bordered-
+    determinant formula, in one O(N^3) elimination.
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
@@ -730,19 +739,13 @@ def popuc_from_moments(
     a: list[Fraction] = []
     for n in range(n_terminal):
         c = phis[n].ints
-        a_n = Fraction(sum(map(mul, c, ints[1 : n + 2])), sum(map(mul, c, ints[n::-1])))
-        if n < n_terminal - 1 and abs(a_n.numerator) >= a_n.denominator:
-            raise SingularMomentError(
-                f"|a_{n}| = {_text(abs(a_n))} >= 1: moments are not positive-definite "
-                f"through order {n + 2} ({m.provenance})"
-            )
-        if n == n_terminal - 1 and abs(a_n.numerator) != a_n.denominator:
-            raise TerminalMassError(
-                f"|a_{n_terminal - 1}| = {_text(abs(a_n))} != 1: moments do not describe "
-                f"an {n_terminal}-point measure ({m.provenance})"
-            )
-        a.append(a_n)
-        phis.append(szego_step(phis[n], a_n))
+        a.append(Fraction(sum(map(mul, c, ints[1 : n + 2])), sum(map(mul, c, ints[n::-1]))))
+        phis.append(szego_step(phis[n], a[n]))
+    if abs(a[-1].numerator) != a[-1].denominator:
+        raise TerminalMassError(
+            f"|a_{n_terminal - 1}| = {_text(abs(a[-1]))} != 1: moments do not describe "
+            f"an {n_terminal}-point measure ({m.provenance})"
+        )
 
     system = PopucSystem(
         family=family or m.provenance,

@@ -195,23 +195,28 @@ def test_binary_pq_families_satisfy_all_invariants():
 
 
 def test_paranoid_dual_pair_checks_both_ladders(monkeypatch):
-    # The determinant formula is made wrong for Sturmian moments only, so
-    # only the descent side's paranoid check can catch it.
-    formula = opuc_core.determinant_formula_poly
+    # The one elimination behind the determinant formula is made wrong for
+    # Sturmian moments only: every row it hands back reads Phi_n + 1/101,
+    # so only the descent side's paranoid check can catch it.
+    elimination = opuc_core._bordered_elimination
     seen = []
 
-    def wrong_for_sturmian(m, n):
+    def wrong_for_sturmian(m, count):
         seen.append(m.provenance)
-        poly = formula(m, n)
-        return poly + P(F(1, 101)) if m.provenance.startswith("sturmian") else poly
+        swaps, rows = elimination(m, count)
+        if m.provenance.startswith("sturmian"):
+            # row n, v, is v_n Phi_n, and 101 v + v_n is 101 v_n (Phi_n + 1/101)
+            rows = [[101 * x + (i == 0) * v[n] for i, x in enumerate(v)]
+                    for n, v in enumerate(rows)]
+        return swaps, rows
 
-    monkeypatch.setattr(opuc_core, "determinant_formula_poly", wrong_for_sturmian)
+    monkeypatch.setattr(opuc_core, "_bordered_elimination", wrong_for_sturmian)
     spec = KroneckerSpec([1, 2, 5])
-    build_dual_pair(spec)  # not paranoid: the formula is never asked
+    build_dual_pair(spec)  # not paranoid: the elimination is never asked
     assert seen == []
     with pytest.raises(InternalInconsistencyError, match=r"^rung 1: descent gives z \+ 4/5, "):
         build_dual_pair(spec, paranoid=True)
-    assert seen == ["kronecker:1,2,5"] * 6 + ["sturmian:1,2,5"]
+    assert seen == ["kronecker:1,2,5", "sturmian:1,2,5"]
 
 
 # -- numeric layer -------------------------------------------------------------

@@ -664,6 +664,58 @@ def test_determinant_formula_matches_the_cofactor_oracle_on_random_moments(m):
             assert determinant_formula_poly(m, n) == bordered_oracle(m, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(interior, max_size=12),
+    interior | st.sampled_from([F(1), F(-1)]),
+    st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+)
+def test_one_elimination_gives_every_rung_of_the_determinant_formula(coeffs, last, scale):
+    """Positive minors below the last one, which may be 0 (a ladder's
+    terminal rung): no swap, and row n of the one elimination of [T | I]
+    is D^n Delta_n times determinant_formula_poly(m, n), then zeros."""
+    m = _moments_through_verblunsky([*coeffs, last], None, scale)
+    count = m.max_index + 1
+    swaps, rows = opuc_core._bordered_elimination(m, count)
+    assert swaps == 0
+    d = lcm(*(s.denominator for s in m.sigma))
+    for n, row in enumerate(rows):
+        assert row[n + 1 :] == [0] * (count - 1 - n)
+        assert row[n] == d**n * toeplitz_det(m, n)
+        assert Poly.from_ints(row, row[n]) == determinant_formula_poly(m, n)
+
+
+@pytest.mark.parametrize("orders", [(7,), (1, 2, 5)])
+def test_paranoid_check_catches_every_rung_perturbation(orders):
+    """Every coefficient below the leading one of every rung, moved by
+    +-1/101, is caught at that rung with the message the per-rung
+    determinant formula gives, on both families."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    for system, route in ((pair.ramanujan, "recurrence"), (pair.sturmian, "descent")):
+        m = system.moments
+        opuc_core._check_rungs_by_determinants(m, system.phis, route)
+        for n in range(1, len(system.phis)):
+            formula = determinant_formula_poly(m, n)
+            for k in range(n):
+                for bump in (F(1, 101), F(-1, 101)):
+                    phis = list(system.phis)
+                    phis[n] = phis[n] + Poly([0] * k + [bump])
+                    message = f"rung {n}: {route} gives {phis[n]}, determinant formula {formula}"
+                    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+                        opuc_core._check_rungs_by_determinants(m, phis, route)
+
+
+@pytest.mark.parametrize("sigma", [(1, 1, 0), (1, 1, 1)])
+def test_paranoid_check_raises_where_the_elimination_needs_a_row_swap(sigma):
+    """Delta_2 = 0 needs a swap at column 1, (1, 1, 0), or finds no pivot
+    there, (1, 1, 1); the builders' proof of Delta_1..Delta_{N+1} > 0 rules
+    both out, so the check raises."""
+    message = "Delta_k = 0 for some k < 3 (explicit)"
+    phis = [P(1), P(-1, 1), P(0, -1, 1)]
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        opuc_core._check_rungs_by_determinants(MomentSequence(sigma), phis, "test")
+
+
 def test_the_levinson_loop_takes_no_norm_step(monkeypatch):
     """h_n has one home, ``PopucSystem._norms``: a build steps the norm
     recurrence N times, once per h_1..h_N, when check_delta reads them."""
