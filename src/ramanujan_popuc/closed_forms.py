@@ -25,6 +25,7 @@ from .opuc_core import (
     MomentSequence,
     PopucSystem,
     VerblunskySequence,
+    _check_closed_minors,
     moments_from_ladder,
     szego_step,
 )
@@ -38,6 +39,17 @@ def _odd_prime_label(kind: str, p: int) -> str:
     return f"{kind}:{p}"
 
 
+def _equal_mass_system(family: str, p: int, sigma, phis, a) -> PopucSystem:
+    """The equal-mass system on the p-th or 2p-th roots of unity, sigma_n =
+    sigma[n] / (p - 1), its closed-form minors (p - 1)^n Delta_n =
+    p^{n-1} (p - n) proven up to Delta_p = Delta_{N+2} = 0."""
+    moments = MomentSequence.from_ints(sigma, p - 1, family)
+    system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    pivots = [p ** (n - 1) * (p - n) for n in range(1, p + 1)]
+    _check_closed_minors(system, pivots, p - 1, "closed form")
+    return system
+
+
 def cf_ramanujan_prime(p: int) -> PopucSystem:
     """Equal-mass family on the primitive p-th roots of unity, p an odd
     prime, entirely from closed formulas (no moment computation):
@@ -47,18 +59,14 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
         Delta_n = p^{n-1} (p - n) / (p - 1)^n,
         sigma_n = -1 / (p - 1)  for 1 <= n <= p - 1.
 
-    The closed-form determinants, as the integers (p - 1)^n Delta_n, are
-    matched against the system's own Delta_n, the products of the norms h_n.
+    The closed-form determinants, zero first at n = p = N + 2, are matched
+    against the system's own Delta_n, the products of the norms h_n.
     """
     family = _odd_prime_label("ramanujan-prime", p)
     n_max = p - 2
     phis = [Poly.from_ints([1] * n + [n_max - n + 2], n_max - n + 2) for n in range(n_max + 2)]
     a = [Fraction(-1, n_max - n + 1) for n in range(n_max + 1)]
-    pivots = [p ** (n - 1) * (p - n) for n in range(1, n_max + 2)]
-    moments = MomentSequence.from_ints((p - 1,) + (-1,) * (p - 1), p - 1, family)
-    system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
-    system.check_delta(pivots, "closed form", p - 1)
-    return system
+    return _equal_mass_system(family, p, (p - 1,) + (-1,) * (p - 1), phis, a)
 
 
 def cf_ramanujan_2p(p: int) -> PopucSystem:
@@ -69,6 +77,8 @@ def cf_ramanujan_2p(p: int) -> PopucSystem:
 
     The ladder is generated by forward recurrence from Phi_0 = 1; the
     test suite pins its terminal rung to the 2p-th cyclotomic polynomial.
+    Its moment matrix is S T_p S, T_p that of the p-th roots and
+    S = diag((-1)^i), so its closed-form Delta_n are theirs.
     """
     family = _odd_prime_label("ramanujan-2p", p)
     n_max = p - 2
@@ -76,8 +86,7 @@ def cf_ramanujan_2p(p: int) -> PopucSystem:
     phis = [Poly.one()]
     for a_n in a:
         phis.append(szego_step(phis[-1], a_n))
-    moments = MomentSequence.from_ints([p - 1] + [1, -1] * (p // 2), p - 1, family)
-    return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    return _equal_mass_system(family, p, [p - 1] + [1, -1] * (p // 2), phis, a)
 
 
 def cf_single_moment(n_max: int) -> PopucSystem:

@@ -42,6 +42,7 @@ from .errors import (
 from .opuc_core import (
     PopucSystem,
     VerblunskySequence,
+    _check_closed_minors,
     _check_rungs_by_determinants,
     _schur_minors,
     _text,
@@ -74,7 +75,9 @@ def sturmian_from_charpoly(
     must be monic with simple unit-circle roots (in practice a
     kronecker_poly output); anything else surfaces as
     InvalidCharacteristicError or InteriorCoefficientOutOfRangeError.
-    With paranoid=True every rung is re-derived from the reconstructed
+    The minors of the moments sigma_0..sigma_{N+1} that the ladder implies
+    are proven up to Delta_{N+2} = 0 (``_check_closed_minors``).  With
+    paranoid=True every rung is re-derived from the reconstructed
     moments through the bordered-determinant formula, in one elimination.
     """
     n1 = charpoly.degree  # N + 1
@@ -118,8 +121,8 @@ def sturmian_from_charpoly(
         phis=tuple(ladder),
         verblunsky=VerblunskySequence(tuple(coeffs)),
     )
-    pivots, scale = _schur_minors(system.moments, n1)
-    system.check_delta(pivots, "Toeplitz minors", scale)
+    pivots, scale = _schur_minors(system.moments, n1 + 1)
+    _check_closed_minors(system, pivots, scale, "Toeplitz minors")
     if paranoid:
         _check_rungs_by_determinants(system.moments, ladder, "descent")
     return system
@@ -373,29 +376,7 @@ def _mpf_nearest(p: int, q: int):
     return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
 
 
-def _worst_residual(row: dict) -> float:
-    """The largest residual of one root, over every "..._residual" entry
-    of its row; a Sturmian mass that is not positive counts as 1."""
-    worst = max(value for key, value in row.items() if key.endswith("_residual"))
-    return worst if row["sturmian_positive"] else max(worst, 1.0)
-
-
-def _zero_row(z) -> dict:
-    """The row of a root where C'(z_s) or Phi_N(z_s) evaluates to zero:
-    conj(d) * p = (N+1) * h_N cannot hold there, no mass is defined, every
-    residual is infinite and the Sturmian mass does not count as positive."""
-    inf, nan = float("inf"), float("nan")
-    return {
-        "root": z,
-        "ramanujan_mass": nan,
-        "sturmian_mass": nan,
-        "equal_mass_residual": inf,
-        "ramanujan_imag_residual": inf,
-        "sturmian_imag_residual": inf,
-        "sturmian_positive": False,
-        "product_residual": inf,
-        "two_route_residual": inf,
-    }
+_RESIDUALS = ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
 
 
 def _verify_weights_impl(pair: DualPair, tol: float, to_num, points) -> WeightReport:
@@ -406,38 +387,38 @@ def _verify_weights_impl(pair: DualPair, tol: float, to_num, points) -> WeightRe
     equal_mass = 1 / to_num(Fraction(n1))
     report = WeightReport(tol=tol)
     mass_sum = 0
-    worst = 0.0
+    worsts = []
     for z, d_val, p_val in points:
-        if not (d_val and p_val):
-            # An order-1 or order-2 remainder is a constant, so a wrong rung
-            # can evaluate to an exact zero there.
-            row = _zero_row(z)
-        else:
+        if d_val and p_val:
             w = h_num / (d_val.conjugate() * p_val)
             tw = p_val / d_val
             speed2 = (d_val * d_val.conjugate()).real
             tw_sturm_route = h_num * n1 / speed2
-            row = {
-                "root": z,
-                "ramanujan_mass": w,
-                "sturmian_mass": tw,
-                "equal_mass_residual": float(abs(w - equal_mass) / equal_mass),
-                "ramanujan_imag_residual": float(abs(w.imag)),
-                "sturmian_imag_residual": float(abs(tw.imag)),
-                "sturmian_positive": tw.real > 0,
-                "product_residual": float(abs(w * tw * speed2 - h_num) / h_num),
-                "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
-            }
+            residuals = (
+                float(abs(w - equal_mass) / equal_mass),
+                float(abs(w.imag)),
+                float(abs(tw.imag)),
+                float(abs(w * tw * speed2 - h_num) / h_num),
+                float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
+            )
+            positive = tw.real > 0
             mass_sum += tw.real
-        worst = max(worst, _worst_residual(row))
-        report.rows.append(row)
+        else:
+            # a wrong rung can be exactly 0 at an order-1 or order-2 root (its
+            # remainder is a constant): no mass is defined there
+            w = tw = float("nan")
+            residuals = (float("inf"),) * len(_RESIDUALS)
+            positive = False
+        # a Sturmian mass that is not positive counts as a residual of 1
+        worsts.append(max(residuals) if positive else max(*residuals, 1.0))
+        row = {"root": z, "ramanujan_mass": w, "sturmian_mass": tw, "sturmian_positive": positive}
+        report.rows.append(row | {f"{k}_residual": r for k, r in zip(_RESIDUALS, residuals)})
 
     report.sturmian_mass_sum_residual = float(abs(mass_sum - 1))
-    worst = max(worst, report.sturmian_mass_sum_residual)
-    report.max_residual = worst
+    report.max_residual = worst = max(0.0, *worsts, report.sturmian_mass_sum_residual)
     report.passed = worst < tol
     if not report.passed:
-        bad = [(i, r) for i, r in enumerate(report.rows) if _worst_residual(r) >= tol]
+        bad = [(i, r) for i, (r, w) in enumerate(zip(report.rows, worsts)) if w >= tol]
         detail = "; ".join(
             f"root {i}: z={r['root']}, residuals "
             f"(equal={r['equal_mass_residual']:.3e}, product={r['product_residual']:.3e}, "

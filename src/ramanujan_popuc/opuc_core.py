@@ -265,8 +265,8 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     else.  It never forms a polynomial Phi_k, a coefficient a_k or a norm
     h_k, and shares no code with ``szego_step`` or ``Poly``.  A wrong a_n,
     rung or norm on that side changes the norms but not these pivots, so
-    ``PopucSystem.check_delta`` still compares two routes.  The tests keep
-    general Bareiss elimination (``toeplitz_det``) as the oracle.
+    ``_check_closed_minors`` compares two routes, on both ladder sides.
+    The tests keep general Bareiss elimination (``toeplitz_det``) as the oracle.
     """
     pivots, scale = _schur_minors(m, n)
     if pivots and pivots[-1] <= 0:
@@ -476,7 +476,8 @@ class PopucSystem:
         equation, and by induction from Delta_0 = 1 the equations give
         Delta_{k+1} = h_0 ... h_k, the system's Delta: the check matches
         every Delta_k, so every h_n = Delta_{n+1} / Delta_n.  Fractions are
-        built only for the message."""
+        built only for the message.  Delta_{N+2}, which a payload does not
+        carry, is checked by ``_check_closed_minors``."""
         delta = tuple(delta)
         if len(delta) != len(self._norms):
             raise InternalInconsistencyError(
@@ -572,6 +573,20 @@ class PopucSystem:
             raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
         system.check_delta(values["delta"], "payload")
         return system
+
+
+def _check_closed_minors(system: PopucSystem, pivots, scale: int, route: str) -> None:
+    """pivots[k-1] = P_k = D^k Delta_k (D = scale), k = 1..N+2, found by
+    `route`: P_1..P_{N+1} must match the norms (``check_delta``) and
+    Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2) must be 0, as |a_N| = 1."""
+    *pivots, last = pivots
+    system.check_delta(pivots, route, scale)
+    if last:
+        n2 = len(pivots) + 1
+        raise InternalInconsistencyError(
+            f"Delta_{n2} = {_text(Fraction(last, scale**n2))} by {route}, but "
+            f"|a_{n2 - 2}| = 1 makes it 0 ({system.family})"
+        )
 
 
 def _payload_rationals(items, key: str) -> tuple[Fraction, ...]:
@@ -711,8 +726,8 @@ def popuc_from_moments(
     So is 1 - a_n^2 = Delta_{n+2} Delta_n / Delta_{n+1}^2 for n < N: only
     |a_N| = 1 is tested (``VerblunskySequence`` holds the rest).  The sweep
     reads the moment table alone, so by an independent route its minors
-    must equal the products of the norms (``check_delta``), and
-    Delta_{N+2} = Delta_{N+1} h_N (1 - a_N^2) must be 0.  Every rung must
+    must equal the products of the norms, and Delta_{N+2} must be 0
+    (``_check_closed_minors``, as for the Sturmian ladder).  Every rung must
     annihilate z^0..z^{n-1}, checked in O(N^2) (``_verify_annihilation``).
     With paranoid=True every rung is also compared with the bordered-
     determinant formula, in one O(N^3) elimination.
@@ -753,13 +768,7 @@ def popuc_from_moments(
         phis=tuple(phis),
         verblunsky=VerblunskySequence(tuple(a)),
     )
-    *pivots, last = pivots
-    system.check_delta(pivots, "Toeplitz minors", scale)
-    if last != 0:
-        raise InternalInconsistencyError(
-            f"Delta_{n_terminal + 1} = {_text(Fraction(last, scale ** (n_terminal + 1)))} by "
-            f"Toeplitz minors, but |a_{n_terminal - 1}| = 1 makes it 0 ({system.family})"
-        )
+    _check_closed_minors(system, pivots, scale, "Toeplitz minors")
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
     if paranoid:

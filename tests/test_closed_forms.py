@@ -1,9 +1,11 @@
 """Closed-form families against the engine, and against each other."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from ramanujan_popuc import closed_forms
 from ramanujan_popuc.closed_forms import (
     cf_ramanujan_2p,
     cf_ramanujan_anti2p,
@@ -12,7 +14,7 @@ from ramanujan_popuc.closed_forms import (
     cf_sturmian_anti2p,
 )
 from ramanujan_popuc.duality import mirror_dual, sturmian_from_charpoly
-from ramanujan_popuc.errors import InvalidModulusError, NonPrimeError
+from ramanujan_popuc.errors import InternalInconsistencyError, InvalidModulusError, NonPrimeError
 from ramanujan_popuc.opuc_core import (
     gram_matrix,
     moments_from_cyclotomic,
@@ -93,6 +95,32 @@ def test_2p_family_matches_engine():
         )
         assert_systems_equal(cf_ramanujan_2p(p), engine)
         assert engine.terminal == cyclotomic(2 * p)
+
+
+@pytest.mark.parametrize("build", [cf_ramanujan_prime, cf_ramanujan_2p])
+def test_closed_form_minors_close_at_delta_p(monkeypatch, build):
+    """Both equal-mass fixtures hand the paper's (p - 1)^n Delta_n =
+    p^{n-1} (p - n), n = 1..p, to the one closing check.  The Bareiss
+    oracle finds the same minors on the fixture's own moments, Delta_p = 0
+    included, and a Delta_p one unit off is rejected."""
+    check = closed_forms._check_closed_minors
+    seen = []
+    monkeypatch.setattr(closed_forms, "_check_closed_minors", lambda *args: seen.append(args))
+    primes = (3, 5, 7, 11, 13)
+    for p in primes:
+        build(p)
+    assert [(len(pivots), scale) for _, pivots, scale, _ in seen] == [(p, p - 1) for p in primes]
+    for p, (system, pivots, scale, route) in zip(primes, seen):
+        check(system, pivots, scale, route)
+        oracle = [toeplitz_det(system.moments, n) for n in range(1, p + 1)]
+        assert [F(x, scale**n) for n, x in enumerate(pivots, 1)] == oracle
+        assert oracle[-1] == 0
+        message = (
+            f"Delta_{p} = {F(1, (p - 1) ** p)} by closed form, but |a_{p - 2}| = 1 "
+            f"makes it 0 ({system.family})"
+        )
+        with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+            check(system, [*pivots[:-1], 1], scale, route)
 
 
 # -- single-moment family ---------------------------------------------------------

@@ -742,6 +742,7 @@ def test_singular_extension_of_finite_measures():
         m = moments_from_kronecker(spec, n1 + 1)
         assert toeplitz_det(m, n1 + 1) == 0  # Delta_{N+2}
         assert all(toeplitz_det(m, k) > 0 for k in range(1, n1 + 1))
+        assert toeplitz_det(_sturmian_moments(orders), n1 + 1) == 0  # the mirror side too
 
 
 @pytest.mark.parametrize(
@@ -865,24 +866,23 @@ def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
 
 
 @pytest.mark.parametrize(
-    "namespace, build, past_terminal",
+    "namespace, build",
     [
-        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6), True),
-        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10)), False),
+        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
+        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10))),
     ],
     ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
 )
-def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build, past_terminal):
-    """Every Delta_k, k <= N+1, is matched against the norms; the Ramanujan
-    side also sweeps to Delta_{N+2}, which must be 0.  Both sides check the
+def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build):
+    """Every Delta_k, k <= N+1, is matched against the norms, and both
+    sides sweep to Delta_{N+2}, which must be 0.  Both sides check the
     integer pivots P_k = D^k Delta_k of ``_schur_minors``, each moved by one
     unit up and down in turn."""
     system = build()
     n2 = system.n_max + 2
     minors_of = namespace._schur_minors
-    last = n2 if past_terminal else n2 - 1  # the Ramanujan side sweeps to N+2
-    _, d = minors_of(system.moments, last)
-    for k in range(1, last + 1):
+    _, d = minors_of(system.moments, n2)
+    for k in range(1, n2 + 1):
         for unit in (1, -1):
 
             def bumped(m, n, k=k, unit=unit):
@@ -905,6 +905,35 @@ def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build
                 )
             with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
                 build()
+
+
+@pytest.mark.parametrize(
+    "orders", [[7], [1, 2, 5], [1, 6, 13, 15, 21, 25, 26, 35]], ids=["M=7", "1,2,5", "8 orders"]
+)
+def test_sturmian_last_moment_is_proven_by_the_closing_minor(monkeypatch, orders):
+    """sigma_{N+1} of the Sturmian side enters no minor below Delta_{N+2}:
+    raised by one unit over its denominator, it is caught by Delta_{N+2} = 0
+    without the paranoid check, whose value the Bareiss oracle confirms."""
+    recover = duality.moments_from_ladder
+    seen = []
+
+    def raised(phis, provenance):
+        m = recover(phis, provenance)
+        seen.append(MomentSequence.from_ints((*m.ints[:-1], m.ints[-1] + 1), m.den, provenance))
+        return seen[-1]
+
+    monkeypatch.setattr(duality, "moments_from_ladder", raised)
+    spec = KroneckerSpec(orders)
+    n2 = spec.total_degree + 1
+    with pytest.raises(InternalInconsistencyError) as err:
+        build_dual_pair(spec)
+    delta = toeplitz_det(seen[0], n2)
+    assert str(err.value) == (
+        f"Delta_{n2} = {delta} by Toeplitz minors, but |a_{n2 - 2}| = 1 makes it 0 "
+        f"(sturmian:{spec.label})"
+    )
+    if orders == [7]:
+        assert delta == F(1, 16)
 
 
 def test_moments_from_ladder_inverts_construction():
@@ -953,6 +982,7 @@ def test_from_json_dict_rejects_payloads_that_disagree_with_verblunsky():
         # the list index 2 holds Delta_3
         (edit("delta", 2, "1/3"), "Delta_3 = 1/3 by payload"),
         ({**payload, "delta": payload["delta"][:-1]}, "5 determinants by payload"),
+        ({**payload, "delta": [*payload["delta"], "0"]}, "7 determinants by payload"),
         ({**payload, "N": 4}, "payload N = 4 but a_0..a_N gives N = 5"),
     ):
         with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
