@@ -32,11 +32,9 @@ from operator import mul
 
 from .errors import (
     DualityViolationError,
-    InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
-    UnimodularConstantTermError,
     WeightCheckFailureError,
 )
 from .opuc_core import (
@@ -73,8 +71,10 @@ def sturmian_from_charpoly(
     Phi_{N+1} is the input, Phi_N is its derivative divided by N+1, and
     the remaining rungs follow by inverse recurrence descent.  The input
     must be monic with simple unit-circle roots (in practice a
-    kronecker_poly output); anything else surfaces as
-    InvalidCharacteristicError or InteriorCoefficientOutOfRangeError.
+    kronecker_poly output).  Anything else raises InvalidCharacteristicError
+    here, its subclass UnimodularConstantTermError from the descent, or
+    InteriorCoefficientOutOfRangeError, a SingularMomentError, from
+    VerblunskySequence when some |a_k| >= 1 below N.
     The minors of the moments sigma_0..sigma_{N+1} that the ladder implies
     are proven up to Delta_{N+2} = 0 (``_check_closed_minors``).  With
     paranoid=True every rung is re-derived from the reconstructed
@@ -97,21 +97,10 @@ def sturmian_from_charpoly(
         )
     ladder = [charpoly, phi_n]
     coeffs = [a_terminal]
-    current = phi_n
-    try:
-        for _ in range(n1 - 1):
-            current, a_k = inverse_szego_step(current)
-            ladder.append(current)
-            coeffs.append(a_k)
-    except UnimodularConstantTermError as exc:
-        raise InvalidCharacteristicError(
-            f"descent failed below degree {current.degree}: {exc}"
-        ) from exc
-    for a_k in coeffs[1:]:
-        if abs(a_k.numerator) >= a_k.denominator:
-            raise InteriorCoefficientOutOfRangeError(
-                f"interior coefficient {_text(a_k)} has |a| >= 1: not a positive system"
-            )
+    for _ in range(n1 - 1):
+        phi, a_k = inverse_szego_step(ladder[-1])
+        ladder.append(phi)
+        coeffs.append(a_k)
     ladder.reverse()
     coeffs.reverse()
 

@@ -3,7 +3,9 @@
 Everything derives from PopucError so callers (in particular the CLI) can
 separate library failures from genuine bugs.  Errors that indicate bad user
 input additionally derive from ValueError; errors that indicate a failed
-mathematical check derive from ArithmeticError.
+mathematical check derive from ArithmeticError.  An interior |a_k| >= 1 is
+a SingularMomentError and a descent stopped by |Phi(0)| = 1 is an
+InvalidCharacteristicError, so each is raised where it is detected.
 """
 
 
@@ -49,17 +51,20 @@ class TerminalMassError(PopucError, ArithmeticError):
     does not close into a finite para-orthogonal system."""
 
 
-class UnimodularConstantTermError(PopucError, ArithmeticError):
-    """Inverse recurrence descent hit |constant term| = 1 and cannot
-    continue."""
+class InteriorCoefficientOutOfRangeError(SingularMomentError):
+    """A reflection coefficient below the terminal one has |a_k| >= 1.
+    Then Delta_{k+2} = Delta_{k+1} h_k (1 - a_k^2) <= 0, so the moments
+    the ladder implies are singular."""
 
 
 class InvalidCharacteristicError(PopucError, ArithmeticError):
     """A characteristic polynomial does not generate a valid system."""
 
 
-class InteriorCoefficientOutOfRangeError(PopucError, ArithmeticError):
-    """A reflection coefficient below the terminal one has |a| >= 1."""
+class UnimodularConstantTermError(InvalidCharacteristicError):
+    """Inverse recurrence descent hit |constant term| = 1 and cannot
+    continue.  A polynomial whose descent stops there below the top is
+    not a valid characteristic polynomial."""
 
 
 class DualityViolationError(PopucError, ArithmeticError):
@@ -75,5 +80,7 @@ class WeightCheckFailureError(PopucError, ArithmeticError):
 
 
 class InternalInconsistencyError(PopucError):
-    """Two independent computations of the same quantity disagree; this
-    always signals an implementation bug, never a user error."""
+    """Two independent computations of the same quantity disagree.  Inside
+    the library this signals an implementation bug; ``from_json_dict``
+    also raises it for a payload whose fields disagree with its own
+    ``verblunsky``."""

@@ -33,6 +33,7 @@ from operator import mul
 
 from .errors import (
     InsufficientMomentsError,
+    InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
@@ -398,7 +399,7 @@ class VerblunskySequence:
         _check_exact(self.a, "a")
         for k, v in enumerate(self.a[:-1]):
             if abs(v.numerator) >= v.denominator:
-                raise SingularMomentError(
+                raise InteriorCoefficientOutOfRangeError(
                     f"|a_{k}| = {_text(abs(v))} >= 1 below the terminal index"
                 )
         if abs(self.a[-1].numerator) != self.a[-1].denominator:

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from ramanujan_popuc import cli
 from ramanujan_popuc.cli import main
+from ramanujan_popuc.errors import InteriorCoefficientOutOfRangeError, InternalInconsistencyError
 from ramanujan_popuc.opuc_core import PopucSystem
 from ramanujan_popuc.polynomials import parse_rational
 
@@ -74,6 +76,14 @@ def test_popuc_ramanujan_m5(capsys):
     assert payload["moments"] == ["1", "-1/4", "-1/4", "-1/4", "-1/4"]
     clone = PopucSystem.from_json_dict(payload)  # JSON round-trips
     assert clone.to_json_dict() == payload
+
+
+def test_popuc_payload_with_an_interior_coefficient_out_of_range_does_not_load(capsys):
+    payload = json.loads(run_cli(capsys, "popuc", "--m", "5", "--format", "json")[1])
+    payload["verblunsky"][0] = "3/2"
+    message = "|a_0| = 3/2 >= 1 below the terminal index"
+    with pytest.raises(InteriorCoefficientOutOfRangeError, match=f"^{re.escape(message)}$"):
+        PopucSystem.from_json_dict(payload)
 
 
 def test_popuc_sturmian_kronecker(capsys):
@@ -167,6 +177,24 @@ def test_verify_trivial_and_prime(capsys):
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-m", "8", "--families", "all")
     assert code == 0 and "FAIL" not in out
+
+
+def test_verify_prints_a_fail_line_for_each_route_that_disagrees(capsys, monkeypatch):
+    power_sums, prime = cli.moments_from_power_sums, cli.cf_ramanujan_prime
+    monkeypatch.setattr(cli, "moments_from_power_sums", lambda c, n: power_sums(c, n + 1))
+    detail = "power-sum moments disagree with Ramanujan-sum moments"
+    assert run_cli(capsys, "verify", "--max-m", "5", "--families", "prime") == (1, (
+        f"FAIL  {'prime M=3':<28} {detail}\n"
+        f"FAIL  {'prime M=5':<28} {detail}\n"
+        "0/2 verified\n"
+    ), "")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "cf_ramanujan_prime", lambda p: prime(3))
+    assert run_cli(capsys, "verify", "--max-m", "5", "--families", "prime") == (1, (
+        "PASS  prime M=3\n"
+        f"FAIL  {'prime M=5':<28} closed form disagrees with engine\n"
+        "1/2 verified\n"
+    ), "")
 
 
 def test_verify_usage(capsys):
@@ -623,3 +651,12 @@ def test_main_reuses_one_parser_and_reads_the_format_on_every_call(capsys, monke
     with pytest.raises(SystemExit) as e:
         main(["verify", "--max-m", "1"])
     assert e.value.code == 2
+
+
+def test_main_reports_an_internal_inconsistency_with_exit_1(capsys, monkeypatch):
+    def build(spec):
+        raise InternalInconsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli, "build_dual_pair", build)
+    code, out, err = run_cli(capsys, "dual", "--m", "5")
+    assert (code, out, err) == (1, "", "internal inconsistency: two routes disagree\n")

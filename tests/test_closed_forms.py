@@ -241,3 +241,22 @@ def test_closed_families_are_orthogonal():
         for i in range(len(rungs)):
             for j in range(len(rungs)):
                 assert g[i][j] == (system.h[i] if i == j else 0)
+
+
+# -- the closed forms' own cross-checks, under injected faults -----------------
+
+
+def test_anti2p_ladder_that_misses_the_terminal_polynomial_is_rejected(monkeypatch):
+    step = closed_forms.szego_step
+    monkeypatch.setattr(closed_forms, "szego_step", lambda phi, a: step(phi, -a))
+    message = "ladder does not close on the anti-cyclotomic polynomial"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        cf_ramanujan_anti2p(5)
+
+
+def test_sturmian_anti2p_rejects_a_next_to_last_rung_off_the_derivative(monkeypatch):
+    derivative = Poly.derivative
+    monkeypatch.setattr(Poly, "derivative", lambda self: derivative(self) + Poly.one())
+    message = "next-to-last rung is not the normalized derivative"
+    with pytest.raises(InternalInconsistencyError, match=f"^{message}$"):
+        cf_sturmian_anti2p(5)

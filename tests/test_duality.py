@@ -3,6 +3,7 @@ the floating-point weight identities at the spectral points."""
 
 import cmath
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,12 +18,15 @@ from ramanujan_popuc.duality import (
     sturmian_from_charpoly,
     verify_weights,
 )
-from ramanujan_popuc import opuc_core
+from ramanujan_popuc import duality, opuc_core
 from ramanujan_popuc.errors import (
+    DualityViolationError,
     InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
+    SingularMomentError,
+    UnimodularConstantTermError,
     WeightCheckFailureError,
 )
 from ramanujan_popuc.closed_forms import cf_ramanujan_anti2p
@@ -114,6 +118,27 @@ def test_sturmian_rejects_bad_characteristics():
         sturmian_from_charpoly(P(1, F(-5, 2), 1))
 
 
+def test_sturmian_errors_reach_the_caller_from_where_they_are_detected():
+    assert issubclass(InteriorCoefficientOutOfRangeError, SingularMomentError)
+    assert issubclass(UnimodularConstantTermError, InvalidCharacteristicError)
+    # (z - 1)^2: Phi_1 = z - 1 has |Phi_1(0)| = 1, so inverse_szego_step stops
+    message = "|constant term| = 1 in z - 1; descent cannot continue"
+    with pytest.raises(UnimodularConstantTermError, match=f"^{re.escape(message)}$"):
+        sturmian_from_charpoly(P(1, -2, 1))
+    # z^2 - 5/2 z + 1 (roots 2 and 1/2) descends to a_0 = 5/4, which
+    # VerblunskySequence rejects
+    message = "|a_0| = 5/4 >= 1 below the terminal index"
+    with pytest.raises(InteriorCoefficientOutOfRangeError, match=f"^{re.escape(message)}$"):
+        sturmian_from_charpoly(P(1, F(-5, 2), 1))
+
+
+def test_sturmian_rejects_a_charpoly_its_terminal_step_does_not_regenerate():
+    # z^2 + z - 1 is monic with |C(0)| = 1, but it is not self-inversive
+    message = "derivative condition is inconsistent with the terminal recurrence step"
+    with pytest.raises(InvalidCharacteristicError, match=f"^{message}$"):
+        sturmian_from_charpoly(P(-1, 1, 1))
+
+
 # -- equal-mass construction and dual pairs -----------------------------------
 
 
@@ -127,6 +152,23 @@ def test_ramanujan_from_charpoly_examples():
     assert ramanujan_from_charpoly(KroneckerSpec([10])).verblunsky == V(
         "1/4", "-1/3", "1/2", -1
     )
+
+
+def test_ramanujan_side_rejects_a_terminal_rung_off_the_kronecker_product(monkeypatch):
+    monkeypatch.setattr(duality, "kronecker_poly", lambda spec: cyclotomic(7))
+    message = (
+        "terminal polynomial z^4 + z^3 + z^2 + z + 1 != "
+        "Kronecker product z^6 + z^5 + z^4 + z^3 + z^2 + z + 1"
+    )
+    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+        ramanujan_from_charpoly(KroneckerSpec([5]))
+
+
+def test_dual_pair_rejects_coefficients_the_mirror_map_does_not_match(monkeypatch):
+    monkeypatch.setattr(duality, "mirror_dual", lambda v: v)
+    message = "exact duality assertions failed: ['mirror_map']"
+    with pytest.raises(DualityViolationError, match=f"^{re.escape(message)}$"):
+        build_dual_pair(KroneckerSpec([5]))
 
 
 def test_terminal_matches_kronecker_product_sweep():

@@ -15,6 +15,7 @@ from ramanujan_popuc import duality, opuc_core, polynomials
 from ramanujan_popuc.duality import build_dual_pair, sturmian_from_charpoly
 from ramanujan_popuc.errors import (
     InsufficientMomentsError,
+    InteriorCoefficientOutOfRangeError,
     InternalInconsistencyError,
     InvalidCharacteristicError,
     InvalidModulusError,
@@ -958,6 +959,12 @@ def test_verblunsky_validation():
     assert v.n_max == 1 and list(v) == [F(-1, 2), F(1)]
 
 
+def test_verblunsky_sequence_raises_the_interior_error_below_the_terminal_index():
+    message = "|a_0| = 3/2 >= 1 below the terminal index"
+    with pytest.raises(InteriorCoefficientOutOfRangeError, match=f"^{re.escape(message)}$"):
+        VerblunskySequence((F(3, 2), F(1)))
+
+
 def test_popuc_system_json_round_trip():
     system = popuc_from_moments(moments_from_kronecker(KroneckerSpec([1, 2, 3])), 4)
     clone = PopucSystem.from_json_dict(system.to_json_dict())
@@ -1047,6 +1054,25 @@ def test_from_json_dict_rejects_malformed_payloads():
         assert type(info.value.__cause__) is (cause or type(None))
 
 
+def test_from_json_dict_rejects_payloads_whose_fields_do_not_fit_together():
+    payload = popuc_from_moments(moments_from_cyclotomic(5), 4).to_json_dict()
+    phis, moments = payload["phis"], payload["moments"]
+    for malformed, error, message in (
+        ({**payload, "phis": phis[:-1]}, InternalInconsistencyError,
+         "ladder length does not match coefficients"),
+        ({**payload, "phis": [phis[0], ["1", "0", "1"], *phis[2:]]}, InternalInconsistencyError,
+         "rung 1 is not monic of degree 1"),
+        ({**payload, "moments": ["2", *moments[1:]]}, InternalInconsistencyError,
+         "systems are normalized to sigma_0 = 1"),
+        ({**payload, "family": 5}, InvalidPayloadError, "payload family must be a string"),
+        ({**payload, "verblunsky": []}, TerminalMassError,
+         "need at least the terminal coefficient"),
+        ({**payload, "moments": []}, InsufficientMomentsError, "a moment sequence needs sigma_0"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            PopucSystem.from_json_dict(malformed)
+
+
 def test_from_json_dict_names_a_zero_denominator_past_the_digit_limit():
     payload = popuc_from_moments(moments_from_cyclotomic(5), 4).to_json_dict()
     malformed = {**payload, "moments": ["1", "1" * 5000 + "/0"]}
@@ -1117,6 +1143,23 @@ def test_szego_steps_match_textbook_formulas(coeffs, a):
     assert phi.coeffs == expected_phi == tuple(coeffs)
     assert a_rec == expected_a == a
     assert phi.den > 0 and gcd(*phi.ints, phi.den) == 1
+
+
+def test_engine_guards_name_the_argument_out_of_range():
+    m = moments_from_cyclotomic(5)
+    twice = MomentSequence((F(2), F(-1), F(-1)))  # 2 x the moments of C_3
+    for call, error, message in (
+        (lambda: popuc_from_moments(m, 0), InvalidModulusError, "need n_plus_1 >= 1"),
+        (lambda: popuc_from_moments(twice, 2), SingularMomentError,
+         "ladder construction expects sigma_0 = 1"),
+        (lambda: toeplitz_det(m, -1), InvalidModulusError, "determinant size must be >= 0, got -1"),
+        (lambda: szego_step(P(1, 2), F(1, 2)), InvalidCharacteristicError,
+         "recurrence steps need a monic polynomial"),
+        (lambda: inverse_szego_step(Poly.one()), InvalidCharacteristicError,
+         "descent needs a monic polynomial of degree >= 1"),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 @settings(deadline=None, max_examples=100)

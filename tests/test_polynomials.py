@@ -95,6 +95,16 @@ def test_reversal_examples():
         P(1, 1, 1).reversed(1)
 
 
+def test_division_by_zero_default_reversal_repr_and_truth():
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        P(1, 1).divmod(Poly.zero())
+    assert P(F(1, 2), 1).reversed() == P(1, F(1, 2))  # the bound defaults to the degree
+    assert Poly.zero().reversed() == Poly.zero()
+    assert repr(P(F(1, 2), 0, 3)) == "Poly(['1/2', '0', '3'])"
+    assert repr(Poly.zero()) == "Poly([])"
+    assert P(0, 1) and not Poly.zero()
+
+
 def test_evaluation():
     p = P(F(1, 3), 0, 1)
     assert p(F(1, 2)) == F(7, 12)
