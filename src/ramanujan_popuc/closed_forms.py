@@ -70,22 +70,20 @@ def cf_ramanujan_prime(p: int) -> PopucSystem:
 
 
 def cf_ramanujan_2p(p: int) -> PopucSystem:
-    """Equal-mass family on the primitive 2p-th roots of unity: the
-    moments alternate in sign, sigma_n = (-1)^{n+1} / (p - 1), and
+    """Equal-mass family on the primitive 2p-th roots of unity.  As
+    C_{2p}(z) = C_p(-z), it is the reflection of ``cf_ramanujan_prime``:
 
-        a_n = (-1)^n / (N - n + 1),   N = p - 2.
+        Phi_n = (-1)^n Phi_n^{(p)}(-z) = z^n + sum_{k<n} (-1)^{n-k} z^k / (N - n + 2),
+        a_n = (-1)^n / (N - n + 1),   sigma_n = (-1)^{n+1} / (p - 1),   N = p - 2.
 
-    The ladder is generated by forward recurrence from Phi_0 = 1; the
-    test suite pins its terminal rung to the 2p-th cyclotomic polynomial.
     Its moment matrix is S T_p S, T_p that of the p-th roots and
     S = diag((-1)^i), so its closed-form Delta_n are theirs.
     """
     family = _odd_prime_label("ramanujan-2p", p)
     n_max = p - 2
+    phis = [Poly.from_ints([(-1) ** (n - k) for k in range(n)] + [n_max - n + 2], n_max - n + 2)
+            for n in range(n_max + 2)]
     a = [Fraction((-1) ** n, n_max - n + 1) for n in range(n_max + 1)]
-    phis = [Poly.one()]
-    for a_n in a:
-        phis.append(szego_step(phis[-1], a_n))
     return _equal_mass_system(family, p, [p - 1] + [1, -1] * (p // 2), phis, a)
 
 
@@ -103,8 +101,8 @@ def cf_single_moment(n_max: int) -> PopucSystem:
         raise InvalidModulusError(f"single-moment size must be >= 0, got {n_max}")
     family = f"single-moment:{n_max}"
     phis = [Poly.from_ints(range(1, n + 2), n + 1) for n in range(n_max + 1)]
+    phis.append(Poly.from_ints([1] * (n_max + 2)))
     a = [Fraction(-1, n + 2) for n in range(n_max)] + [Fraction(-1)]
-    phis.append(szego_step(phis[-1], a[-1]))
     moments = moments_from_ladder(phis, provenance=family)
     return PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
 
@@ -146,19 +144,15 @@ def cf_ramanujan_anti2p(p: int) -> PopucSystem:
     n <= p-2, a_{p-1} = (p-1)/p, a_p = 1.  The interior rungs have the
     closed form
 
-        Phi_n = z^n + (z^n - (-1)^n) / ((n + p)(z + 1)),   n <= p - 1,
+        Phi_n = z^n + (z^{n-1} - z^{n-2} + ... + (-1)^{n-1}) / (n + p),   n <= p - 1.
 
-    an exact polynomial division; the two top rungs follow by forward
-    recurrence (the printed closed form does not extend to n = p: it
-    breaks orthogonality there, see the test suite).
+    The form breaks orthogonality at n = p (see the test suite) and a_{p-1}
+    leaves the pattern of the a_n, so only the two top rungs are recurrence
+    steps, and the last must close on the anti-cyclotomic polynomial.
     """
     family = _odd_prime_label("ramanujan-anti-2p", p)
-    z_plus_1 = Poly([1, 1])
-    phis = []
-    for n in range(p):
-        # (z^n - (-1)^n) / (z + 1) = z^{n-1} - z^{n-2} + ... -/+ 1
-        folded = (Poly.monomial(n) - Poly([(-1) ** n])).divexact(z_plus_1)
-        phis.append(Poly.monomial(n) + folded * Fraction(1, n + p))
+    phis = [Poly.from_ints([(-1) ** (n - 1 - k) for k in range(n)] + [n + p], n + p)
+            for n in range(p)]
     a = (
         [Fraction((-1) ** (n + 1), p + n + 1) for n in range(p - 1)]
         + [Fraction(p - 1, p), Fraction(1)]

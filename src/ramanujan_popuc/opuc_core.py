@@ -24,7 +24,7 @@ and the Gram matrix, which computes each symmetric pair once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -64,11 +64,12 @@ def _check_exact(values, name: str, where: str = "") -> None:
 class MomentSequence:
     """Trigonometric moments sigma_t = ints[t] / den, t = 0..L, of a positive
     measure on the unit circle (sigma_{-t} = sigma_t), stored as a Poly is
-    but with trailing zeros kept; ``sigma`` and ``at`` build Fractions."""
+    but with trailing zeros kept; ``sigma`` and ``at`` build Fractions.
+    Equal moments compare and hash equal whatever their ``provenance``."""
 
     ints: tuple[int, ...]
     den: int
-    provenance: str
+    provenance: str = field(compare=False)
 
     def __init__(self, sigma, provenance: str = "explicit"):
         _check_exact(sigma, "sigma", f" ({provenance})")
@@ -524,12 +525,17 @@ class PopucSystem:
     @staticmethod
     def from_json_dict(d: dict) -> "PopucSystem":
         """Load a ``to_json_dict`` payload.  Every field but ``family`` is
-        checked against ``verblunsky``: ``N`` is its last index, each rung
-        is z Phi_n - a_n Phi_n^* of the one below, the moments are the
-        ones the ladder implies, and ``h`` and ``delta`` are the derived
-        values.  A mismatch raises InternalInconsistencyError; a missing
-        key, a value of the wrong type or a number that does not parse
-        raises InvalidPayloadError."""
+        checked against ``verblunsky`` by the builder's own checks: ``N`` is
+        its last index and a_n = -Phi_{n+1}(0).  The rungs are monic of
+        degree n, so check (i) of ``_verify_annihilation`` then says each is
+        z Phi_n - a_n Phi_n^* of the one below, and its check (ii) and
+        ``_check_moments_past_terminal`` say the moments are the ones the
+        ladder implies.  ``h`` and ``delta`` must be the derived values.  A
+        mismatch raises InternalInconsistencyError; a missing key, a value
+        of the wrong type or a number that does not parse raises
+        InvalidPayloadError.  Lists that cannot form a ladder raise the
+        constructors' TerminalMassError, InsufficientMomentsError or
+        SingularMomentError (InteriorCoefficientOutOfRangeError if |a_n| >= 1)."""
         if not isinstance(d, dict):
             raise InvalidPayloadError(f"payload is a {type(d).__name__}, not a JSON object")
         try:
@@ -557,19 +563,17 @@ class PopucSystem:
                 f"payload N = {n_max} but a_0..a_N gives N = {system.n_max}"
             )
         for n, a_n in enumerate(system.verblunsky):
-            if szego_step(system.phis[n], a_n) != system.phis[n + 1]:
+            if a_n != -system.phis[n + 1][0]:
                 raise InternalInconsistencyError(
                     f"payload Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
                 )
-        mismatch = "payload moments are not the ones the ladder implies"
-        implied = moments_from_ladder(list(system.phis), family)
-        prefix = _lowest_terms(system.moments.ints[: len(implied.ints)], system.moments.den)
-        if prefix != (implied.ints, implied.den):
-            raise InternalInconsistencyError(mismatch)
         try:
+            _verify_annihilation(system.moments, list(system.phis))
             _check_moments_past_terminal(system.moments, system.terminal)
-        except TerminalMassError as exc:
-            raise InternalInconsistencyError(f"{mismatch}: {exc}") from exc
+        except (InsufficientMomentsError, InternalInconsistencyError, TerminalMassError) as exc:
+            raise InternalInconsistencyError(
+                f"payload moments are not the ones the ladder implies: {exc}"
+            ) from exc
         if tuple(h.as_integer_ratio() for h in values["h"]) != system._norms:
             raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
         system.check_delta(values["delta"], "payload")
@@ -618,7 +622,8 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
 def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     """Every rung must kill z^j for j below its degree; this is the moment
     characterization of the ladder and holds for the terminal rung too
-    (it vanishes on the support).
+    (it vanishes on the support).  It proves the ladders of
+    ``popuc_from_moments`` and the payloads ``PopucSystem.from_json_dict`` loads.
 
     The check is O(N^2).  For each n >= 1 it asks two things of the rung
     Phi_n, in integers over the common denominators Phi_{n-1} = B / E_b,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramanujan_popuc import cli
+from ramanujan_popuc import cli, opuc_core
 from ramanujan_popuc.cli import main
 from ramanujan_popuc.errors import InteriorCoefficientOutOfRangeError, InternalInconsistencyError
 from ramanujan_popuc.opuc_core import PopucSystem
@@ -84,6 +84,27 @@ def test_popuc_payload_with_an_interior_coefficient_out_of_range_does_not_load(c
     message = "|a_0| = 3/2 >= 1 below the terminal index"
     with pytest.raises(InteriorCoefficientOutOfRangeError, match=f"^{re.escape(message)}$"):
         PopucSystem.from_json_dict(payload)
+
+
+def test_loading_a_popuc_payload_reuses_the_builders_check(capsys, monkeypatch):
+    """The loader proves the rungs and moments by ``_verify_annihilation``,
+    once, and steps no recurrence and recovers no moment on its own."""
+    payload = json.loads(run_cli(capsys, "popuc", "--m", "7", "--format", "json")[1])
+    calls = []
+    verify = opuc_core._verify_annihilation
+
+    def forbidden(*args):
+        raise AssertionError("the loader re-ran the recurrence")
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(opuc_core, "szego_step", forbidden)
+    monkeypatch.setattr(opuc_core, "moments_from_ladder", forbidden)
+    monkeypatch.setattr(opuc_core, "_verify_annihilation", counting)
+    clone = PopucSystem.from_json_dict(payload)
+    assert len(calls) == 1 and clone.to_json_dict() == payload
 
 
 def test_popuc_sturmian_kronecker(capsys):

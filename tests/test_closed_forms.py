@@ -123,6 +123,52 @@ def test_closed_form_minors_close_at_delta_p(monkeypatch, build):
             check(system, [*pivots[:-1], 1], scale, route)
 
 
+def reflect(phi, n):
+    """(-1)^n phi(-z) for a rung phi of degree n."""
+    return Poly.from_ints([(-1) ** (n - k) * c for k, c in enumerate(phi.ints)], phi.den)
+
+
+def test_2p_family_is_the_reflection_of_the_prime_family():
+    odd_primes = [p for p in range(3, 100, 2) if all(p % d for d in range(3, p, 2))]
+    assert len(odd_primes) == 24
+    for p in odd_primes:
+        prime, twice = cf_ramanujan_prime(p), cf_ramanujan_2p(p)
+        assert twice.phis == tuple(reflect(phi, n) for n, phi in enumerate(prime.phis))
+        a, sigma = prime.verblunsky.a, prime.moments.sigma
+        assert twice.verblunsky.a == tuple((-1) ** (n + 1) * x for n, x in enumerate(a))
+        assert twice.moments.sigma == tuple((-1) ** k * x for k, x in enumerate(sigma))
+
+
+def test_fixtures_state_their_rungs_by_formula(monkeypatch):
+    """The 2p and single-moment ladders take no recurrence step and the
+    anti-2p interior rungs no division; only the two top anti-2p rungs are
+    steps of the recurrence."""
+    expected = {
+        "2p": [cf_ramanujan_2p(p) for p in PRIMES_TO_31],
+        "single": [cf_single_moment(n) for n in range(8)],
+        "anti2p": [cf_ramanujan_anti2p(p) for p in PRIMES_TO_31],
+    }
+    steps = []
+    step = closed_forms.szego_step
+
+    def counting(phi, a):
+        steps.append(phi.degree)
+        return step(phi, a)
+
+    def forbidden(*args):
+        raise AssertionError("a closed form divided a polynomial")
+
+    monkeypatch.setattr(closed_forms, "szego_step", counting)
+    monkeypatch.setattr(Poly, "divexact", forbidden)
+    assert [cf_ramanujan_2p(p) for p in PRIMES_TO_31] == expected["2p"]
+    assert [cf_single_moment(n) for n in range(8)] == expected["single"]
+    assert steps == []
+    for p, system in zip(PRIMES_TO_31, expected["anti2p"]):
+        assert cf_ramanujan_anti2p(p) == system
+        assert steps[-2:] == [p - 1, p]
+    assert len(steps) == 2 * len(PRIMES_TO_31)
+
+
 # -- single-moment family ---------------------------------------------------------
 
 

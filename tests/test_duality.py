@@ -261,6 +261,26 @@ def test_paranoid_dual_pair_checks_both_ladders(monkeypatch):
     assert seen == ["kronecker:1,2,5", "sturmian:1,2,5"]
 
 
+def test_ladder_of_2m_is_the_reflection_of_the_ladder_of_m():
+    """C_{2m}(z) = (-1)^deg C_m(-z) for odd m, and both ladders follow the
+    reflection z -> -z: a_n(2m) = (-1)^{n+1} a_n(m), Phi_n^{(2m)}(z) =
+    (-1)^n Phi_n^{(m)}(-z) and sigma_k(2m) = (-1)^k sigma_k(m)."""
+    for m in range(1, 120, 2):
+        pairs = (build_dual_pair(KroneckerSpec([m])), build_dual_pair(KroneckerSpec([2 * m])))
+        for side in ("ramanujan", "sturmian"):
+            low, high = (getattr(pair, side) for pair in pairs)
+            assert high.verblunsky.a == tuple(
+                (-1) ** (n + 1) * a for n, a in enumerate(low.verblunsky)
+            ), (m, side)
+            assert high.phis == tuple(
+                Poly.from_ints([(-1) ** (n - k) * c for k, c in enumerate(phi.ints)], phi.den)
+                for n, phi in enumerate(low.phis)
+            ), (m, side)
+            assert high.moments.sigma == tuple(
+                (-1) ** k * s for k, s in enumerate(low.moments.sigma)
+            ), (m, side)
+
+
 # -- numeric layer -------------------------------------------------------------
 
 

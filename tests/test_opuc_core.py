@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramanujan_popuc import duality, opuc_core, polynomials
+from ramanujan_popuc import closed_forms, duality, opuc_core, polynomials
 from ramanujan_popuc.duality import build_dual_pair, sturmian_from_charpoly
 from ramanujan_popuc.errors import (
     InsufficientMomentsError,
@@ -257,7 +257,9 @@ def test_stored_form_matches_the_public_constructor(sigma_0, rest, factor):
     ):
         assert stored == m and hash(stored) == hash(m)
         assert stored.sigma == m.sigma == sigma
-    assert MomentSequence(sigma, "other") != m
+    # the provenance label is not part of the value
+    other = MomentSequence(sigma, "other")
+    assert other == m and hash(other) == hash(m)
 
 
 def test_moment_producers_build_no_fraction(monkeypatch):
@@ -1001,6 +1003,50 @@ def test_from_json_dict_rejects_payloads_that_disagree_with_verblunsky():
     bad = {**longer, "moments": [*longer["moments"][:12], "1/2"]}
     with pytest.raises(InternalInconsistencyError, match="payload moments"):
         PopucSystem.from_json_dict(bad)
+
+
+def test_from_json_dict_reports_a_rung_off_the_recurrence_by_its_inner_product():
+    """A Phi_3 interior coefficient moved by 1/101, its constant term kept,
+    so a_2 = -Phi_3(0) still holds: the annihilation check names the first
+    inner product the moved rung does not kill."""
+    payload = popuc_from_moments(moments_from_cyclotomic(7), 6).to_json_dict()
+    phi_3 = payload["phis"][3]
+    moved = [phi_3[0], str(F(phi_3[1]) + F(1, 101)), *phi_3[2:]]
+    tampered = {**payload, "phis": [*payload["phis"][:3], moved, *payload["phis"][4:]]}
+    message = (
+        "payload moments are not the ones the ladder implies: "
+        "<Phi_3, z^0> = -1/606 != 0 (cyclotomic:7)"
+    )
+    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+        PopucSystem.from_json_dict(tampered)
+
+
+def test_from_json_dict_rejects_a_moment_list_one_short_of_n_plus_2():
+    payload = popuc_from_moments(moments_from_cyclotomic(7), 6).to_json_dict()
+    short = {**payload, "moments": payload["moments"][:-1]}
+    assert len(short["moments"]) == payload["N"] + 1
+    with pytest.raises(InternalInconsistencyError, match="^payload moments are not the ones"):
+        PopucSystem.from_json_dict(short)
+
+
+def test_systems_equal_their_loaded_copies():
+    """Equality ignores the moments' provenance, which a payload does not
+    carry: the Ramanujan side's moments read kronecker:31 when built and
+    ramanujan:31 when loaded."""
+    spec = KroneckerSpec([31])
+    systems = (
+        duality.ramanujan_from_charpoly(spec),
+        sturmian_from_charpoly(kronecker_poly(spec)),
+        closed_forms.cf_ramanujan_anti2p(7),
+    )
+    for system in systems:
+        clone = PopucSystem.from_json_dict(system.to_json_dict())
+        assert clone == system and hash(clone.moments) == hash(system.moments)
+    loaded = PopucSystem.from_json_dict(systems[0].to_json_dict())
+    assert (systems[0].moments.provenance, loaded.moments.provenance) == (
+        "kronecker:31",
+        "ramanujan:31",
+    )
 
 
 def test_loading_a_payload_parses_each_string_once(monkeypatch):
