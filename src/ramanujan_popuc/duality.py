@@ -10,16 +10,17 @@ is mirror-dual to the Sturmian system, whose next-to-last rung is the
 normalized derivative of the terminal polynomial and whose masses are
 proportional to 1/|Phi'_{N+1}(z_s)|^2.  Everything provable in Q is
 checked with exact rational equality; the per-root weight identities live
-at irrational spectral points and are corroborated in floating point
-(double precision by default, mpmath at any requested precision).
+at irrational spectral points and are corroborated numerically (double
+precision by default, or at any requested number of digits).
 
 A spectral point z_s of order m is a root of the cyclotomic polynomial
 C_m, so every value the weight identities need, C'(z_s) and Phi_N(z_s),
 equals the value at z_s of the rung's exact remainder modulo C_m, of
 degree below phi(m): only the rounding changes, and it shrinks.  With
 ``digits`` that remainder is summed exactly in integers against a
-fixed-point table of the m-th roots of unity and rounded once, so the
-table is the only approximation (see ``verify_weights``).
+fixed-point table of the m-th roots of unity, and every residual is an
+exact rational function of those sums, rounded once to a float, so the
+table is the only approximation (formulas in ``verify_weights``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from numbers import Real
 from operator import mul
 
 from .errors import (
@@ -239,17 +241,17 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
       the loop.
 
     Both rungs are evaluated, at a root of order m, from their remainders
-    modulo C_m.  The division p = q * C_m + r is exact in Q[z] and z_s is a
-    root of C_m, so p(z_s) = r(z_s) exactly, and only the rounding differs
-    from Horner over the full degree-N rung.  For a single-order spec the
-    remainders are the rungs themselves.  A root where either value is
-    exactly zero (an order-1 or order-2 remainder is a constant) fails
-    with infinite residuals.
+    modulo C_m (``_mod_cyclotomic``).  The division p = q * C_m + r is exact
+    in Q[z] and z_s is a root of C_m, so p(z_s) = r(z_s) exactly, and only
+    the rounding differs from Horner over the full degree-N rung.  For a
+    single-order spec the remainders are the rungs themselves.  A root
+    where either value is exactly zero (an order-1 or order-2 remainder is
+    a constant) fails with infinite residuals and NaN masses.
 
     In double precision each remainder is evaluated by Horner's rule.  With
     `digits`, r = C / E (integer numerators C_k, denominator E) is summed
     exactly against the table (X_j, Y_j) of ``_unit_table`` at
-    b = prec + 16 + bit_length(N+1) bits and rounded once to nearest:
+    b = prec + 16 + bit_length(N+1) bits:
 
         r(z_s) ~ (sum_k C_k X_{sk mod m} + i sum_k C_k Y_{sk mod m}) / (E 2^b).
 
@@ -257,30 +259,45 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     each part is within ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of r(z_s),
     against about 2 deg(r) ||r||_1 2^-prec for Horner.  The bound is
     absolute: where r(z_s) cancels far below ||r||_1, the residuals grow by
-    that factor.  The row's root is the table point, rounded once.
+    that factor.  Write d = C'(z_s) = (dx + i dy) / q_d and p = Phi_N(z_s) =
+    (px + i py) / q_p for those sums, h_N = hn / hd, A + iB = (dx - i dy)(px
+    + i py), S = A^2 + B^2, T = dx^2 + dy^2 and Q = q_d q_p.  Then
+    w = hn Q (A - iB) / (hd S) and tw = q_d (A + iB) / (q_p T), and each
+    residual is an exact rational function of the sums, rounded once:
+
+        equal_mass      |(N+1) hn Q (A - iB) - hd S| / (hd S)
+        ramanujan_imag  hn Q |B| / (hd S)
+        sturmian_imag   q_d |B| / (q_p T)
+        two_route       |hd A - (N+1) hn Q| / ((N+1) hn Q)
+        product         0: w tw |d|^2 = h_N by the definitions of w and tw,
+                        for any nonzero d and p (doubles show rounding)
+
+    two_route is the real part of the equal-mass condition conj(d) p =
+    (N+1) h_N, tw is positive exactly when A > 0, and the mass sum is a
+    fixed-point sum at 2b bits, rounded once.  mpmath only builds the table
+    and rounds the reported root and masses, so the table is the only
+    approximation.
 
     Residuals are relative.  Raises WeightCheckFailureError (with the
     report attached) when any residual exceeds tol.  Raises
     InvalidModulusError, before any work, when digits is neither None nor
-    an int >= 1.
+    an int >= 1, or tol is not a real number (NaN and bool included).
     """
     if digits is not None and (
         isinstance(digits, bool) or not isinstance(digits, int) or digits < 1
     ):
         raise InvalidModulusError(f"digits must be an int >= 1 or None, got {digits!r}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or tol != tol:
+        raise InvalidModulusError(f"tol must be a real number other than NaN, got {tol!r}")
     n1 = pair.charpoly.degree
     rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
-    reduced = {m: [p.divmod(cyclotomic(m))[1] for p in rungs] for m in pair.spec.orders}
+    reduced = {m: [_mod_cyclotomic(p, m) for p in rungs] for m in pair.spec.orders}
+    h_n = pair.ramanujan._norms[-1]
     if digits is not None:
         import mpmath
 
         with mpmath.workdps(digits):
-            return _verify_weights_impl(
-                pair,
-                tol,
-                lambda fr: _mpf_nearest(fr.numerator, fr.denominator),
-                _table_values(pair.spec, reduced, n1),
-            )
+            return _verify_weights_impl(tol, *_exact_rows(pair.spec, reduced, n1, *h_n))
     # Each remainder coefficient is converted once, correctly rounded (c / den
     # is, as complex(Fraction(c, den)) is): that is how the Horner step
     # `acc * z + c` converts a Fraction c, so where the remainder is the rung
@@ -288,11 +305,36 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     coeffs = {
         m: [[complex(c / r.den) for c in r.ints] for r in rems] for m, rems in reduced.items()
     }
-    points = [
-        (z, horner(coeffs[m][0], z), horner(coeffs[m][1], z))
-        for z, (_, m) in zip(numeric_roots(pair.spec), _root_angles(pair.spec))
-    ]
-    return _verify_weights_impl(pair, tol, float, points)
+    h_num, equal_mass = h_n[0] / h_n[1], 1 / n1
+    rows, mass_sum = [], 0.0
+    for z, (_, m) in zip(numeric_roots(pair.spec), _root_angles(pair.spec)):
+        d_val, p_val = (horner(c, z) for c in coeffs[m])
+        if not (d_val and p_val):
+            rows.append((z, *_NO_MASS))
+            continue
+        w = h_num / (d_val.conjugate() * p_val)
+        tw = p_val / d_val
+        speed2 = (d_val * d_val.conjugate()).real
+        tw_sturm_route = h_num * n1 / speed2
+        residuals = (
+            abs(w - equal_mass) / equal_mass,
+            abs(w.imag),
+            abs(tw.imag),
+            abs(w * tw * speed2 - h_num) / h_num,
+            abs(tw.real - tw_sturm_route) / tw_sturm_route,
+        )
+        rows.append((z, w, tw, residuals, tw.real > 0))
+        mass_sum += tw.real
+    return _verify_weights_impl(tol, rows, abs(mass_sum - 1))
+
+
+def _mod_cyclotomic(p: Poly, m: int) -> Poly:
+    """p modulo C_m.  p is first folded modulo z^m - 1, which C_m divides,
+    so the division runs on at most m coefficients, not deg p + 1; the
+    remainder is the same."""
+    if len(p.ints) > m:
+        p = Poly.from_ints([sum(p.ints[j::m]) for j in range(m)], p.den)
+    return p.divmod(cyclotomic(m))[1]
 
 
 def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
@@ -328,83 +370,86 @@ def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
-def _table_values(spec: KroneckerSpec, reduced: dict, n1: int) -> list:
-    """(z_s, C'(z_s), Phi_N(z_s)) at every root, in the order of
-    ``_root_angles``, as mpmath values at the working precision, from the
-    two remainders modulo C_m in ``reduced[m]``: exact integer sums over
-    ``_unit_table``, each rounded once, an exact zero staying exact."""
+def _exact_rows(spec: KroneckerSpec, reduced: dict, n1: int, hn: int, hd: int):
+    """The rows of ``verify_weights`` with digits, and the mass-sum residual,
+    by its formulas from the exact integer sums of the two remainders
+    modulo C_m in ``reduced[m]`` over ``_unit_table``."""
     import mpmath
+
+    def nearest(x, y, den):  # (x + iy) / den, each part rounded once
+        return mpmath.mp.make_mpc((_mpf_nearest(x, den)._mpf_, _mpf_nearest(y, den)._mpf_))
 
     bits = mpmath.mp.prec + 16 + n1.bit_length()
     tables = {m: _unit_table(m, bits) for m in spec.orders}
-    points = []
+    rows, mass_sum, one = [], 0, 1 << 2 * bits
     for s, m in _root_angles(spec):
         xs, ys = tables[m]
         idx = [s * k % m for k in range(max(len(r.ints) for r in reduced[m]))]
         xg, yg = [xs[i] for i in idx], [ys[i] for i in idx]
-        sums = [(xs[s % m], ys[s % m], 1)]
-        sums += [(sum(map(mul, r.ints, xg)), sum(map(mul, r.ints, yg)), r.den) for r in reduced[m]]
-        # (x + iy) / (den 2^bits), each part rounded once to nearest
-        points.append(
-            tuple(
-                mpmath.mp.make_mpc(
-                    (_mpf_nearest(x, den << bits)._mpf_, _mpf_nearest(y, den << bits)._mpf_)
-                )
-                for x, y, den in sums
-            )
+        (dx, dy, ed), (px, py, ep) = (
+            (sum(map(mul, r.ints, xg)), sum(map(mul, r.ints, yg)), r.den) for r in reduced[m]
         )
-    return points
+        z = nearest(xs[s % m], ys[s % m], 1 << bits)
+        if not ((dx or dy) and (px or py)):
+            rows.append((z, *_NO_MASS))
+            continue
+        a, b = dx * px + dy * py, dx * py - dy * px
+        s2, t, q = a * a + b * b, dx * dx + dy * dy, ed * ep << 2 * bits
+        target = n1 * hn * q  # hd (A + iB) at equal masses
+        residuals = (
+            _sqrt_ratio((target * a - hd * s2) ** 2 + (target * b) ** 2, hd * s2),
+            _sqrt_ratio((hn * q * b) ** 2, hd * s2),
+            ed * abs(b) / (ep * t),
+            0.0,
+            abs(hd * a - target) / target,
+        )
+        w, tw = nearest(hn * q * a, -hn * q * b, hd * s2), nearest(ed * a, ed * b, ep * t)
+        rows.append((z, w, tw, residuals, a > 0))
+        mass_sum += (ed * a << 2 * bits) // (ep * t)
+    return rows, abs(mass_sum - one) / one
+
+
+def _sqrt_ratio(n: int, d: int) -> float:
+    """sqrt(n) / d (n >= 0, d > 0) to within one ulp, inf past the float
+    range: the integer square root has 64 bits or more before the rounding."""
+    k = max(0, 65 - n.bit_length() // 2)
+    try:
+        return isqrt(n << 2 * k) / (d << k)
+    except OverflowError:  # |w| = h_N / |d p| can pass 2^1024 on a wrong rung
+        return float("inf")
 
 
 def _mpf_nearest(p: int, q: int):
     """p / q (q > 0) rounded once, to the nearest mpmath float at the
-    working precision."""
+    working precision: the integer quotient has at least prec + 2 bits,
+    and a sticky last bit for a nonzero remainder keeps ties exact."""
     import mpmath
 
-    mp, libmp = mpmath.mp, mpmath.libmp
-    return mp.make_mpf(libmp.from_rational(p, q, mp.prec, libmp.round_nearest))
+    prec, libmp = mpmath.mp.prec, mpmath.libmp
+    shift = prec + 3 + q.bit_length() - abs(p).bit_length()
+    man, rem = divmod(p << shift, q) if shift >= 0 else divmod(p, q << -shift)
+    bits = libmp.from_man_exp(2 * man + (rem > 0), -shift - 1, prec, libmp.round_nearest)
+    return mpmath.mp.make_mpf(bits)
 
 
 _RESIDUALS = ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
+# a wrong rung can be exactly 0 at an order-1 or order-2 root (its remainder
+# is a constant): no mass is defined there
+_NO_MASS = (float("nan"), float("nan"), (float("inf"),) * len(_RESIDUALS), False)
 
 
-def _verify_weights_impl(pair: DualPair, tol: float, to_num, points) -> WeightReport:
-    """The residuals of ``verify_weights`` from (z_s, C'(z_s), Phi_N(z_s))
-    at every root; to_num converts a Fraction at the points' precision."""
-    n1 = pair.charpoly.degree
-    h_num = to_num(Fraction(*pair.ramanujan._norms[-1]))
-    equal_mass = 1 / to_num(Fraction(n1))
-    report = WeightReport(tol=tol)
-    mass_sum = 0
+def _verify_weights_impl(tol: float, points, mass_sum_residual: float) -> WeightReport:
+    """The report of ``verify_weights`` from (z_s, w_s, tw_s, residuals,
+    positive) at every root and the residual of the Sturmian mass sum."""
+    report = WeightReport(tol=tol, sturmian_mass_sum_residual=mass_sum_residual)
     worsts = []
-    for z, d_val, p_val in points:
-        if d_val and p_val:
-            w = h_num / (d_val.conjugate() * p_val)
-            tw = p_val / d_val
-            speed2 = (d_val * d_val.conjugate()).real
-            tw_sturm_route = h_num * n1 / speed2
-            residuals = (
-                float(abs(w - equal_mass) / equal_mass),
-                float(abs(w.imag)),
-                float(abs(tw.imag)),
-                float(abs(w * tw * speed2 - h_num) / h_num),
-                float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
-            )
-            positive = tw.real > 0
-            mass_sum += tw.real
-        else:
-            # a wrong rung can be exactly 0 at an order-1 or order-2 root (its
-            # remainder is a constant): no mass is defined there
-            w = tw = float("nan")
-            residuals = (float("inf"),) * len(_RESIDUALS)
-            positive = False
+    for z, w, tw, residuals, positive in points:
         # a Sturmian mass that is not positive counts as a residual of 1
         worsts.append(max(residuals) if positive else max(*residuals, 1.0))
         row = {"root": z, "ramanujan_mass": w, "sturmian_mass": tw, "sturmian_positive": positive}
         report.rows.append(row | {f"{k}_residual": r for k, r in zip(_RESIDUALS, residuals)})
 
-    report.sturmian_mass_sum_residual = float(abs(mass_sum - 1))
-    report.max_residual = worst = max(0.0, *worsts, report.sturmian_mass_sum_residual)
+    report.max_residual = worst = max(0.0, *worsts, mass_sum_residual)
     report.passed = worst < tol
     if not report.passed:
         bad = [(i, r) for i, (r, w) in enumerate(zip(report.rows, worsts)) if w >= tol]

@@ -78,8 +78,9 @@ def render_rationals(values, den: int | None = None) -> list[str]:
 def _render(values, den, digits) -> list[str]:
     if den is None:
         return [digits(n) if d == 1 else f"{digits(n)}/{digits(d)}" for n, d in values]
-    return [digits(c // g) if (g := gcd(c, den)) == den
-            else f"{digits(c // g)}/{digits(den // g)}" for c in values]
+    gcds = [gcd(c, den) for c in values]  # "/" + den // g is written once per g
+    tails = {g: "/" + digits(den // g) for g in set(gcds)} | {den: ""}
+    return [digits(c // g) + tails[g] for c, g in zip(values, gcds)]
 
 
 def parse_rational(text: str) -> Fraction:

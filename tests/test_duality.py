@@ -3,6 +3,8 @@ the floating-point weight identities at the spectral points."""
 
 import cmath
 import dataclasses
+import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -489,6 +491,14 @@ def test_phi_n_vanishing_at_a_root_is_a_failing_row(digits):
     assert at_minus_one["product_residual"] == float("inf")
 
 
+def test_a_mass_past_the_float_range_is_an_infinite_residual():
+    # Phi_3(1) = 2^-1100 and the table is exact at z = 1, so w_s > 2^1024
+    pair = _with_phi_n(build_dual_pair(KroneckerSpec([1, 2, 3])), P(F(1, 2**1100) - 1, 0, 0, 1))
+    with pytest.raises(WeightCheckFailureError, match=r"max residual inf; ") as err:
+        verify_weights(pair, tol=1e-12, digits=30)
+    assert err.value.report.rows[0]["equal_mass_residual"] == float("inf")
+
+
 @pytest.mark.parametrize("digits", [15, 30, 50])
 def test_mpmath_conversion_is_correctly_rounded(digits):
     import random
@@ -514,3 +524,97 @@ def test_mpmath_conversion_is_correctly_rounded(digits):
             assert value == +wide, (p, q)
     # the reference tells the two apart: mpmathify rounds down
     assert missed_by_mpmathify > 50
+
+
+@pytest.mark.parametrize("tol", [float("nan"), True, "1e-3", None, 1e-3j])
+def test_tol_other_than_a_real_number_is_rejected(tol):
+    pair = build_dual_pair(KroneckerSpec([5]))
+    with pytest.raises(InvalidModulusError, match="tol must be a real number"):
+        verify_weights(pair, tol=tol, digits=30)
+    # any real tolerance stays a threshold: infinite passes, 0 and below fail
+    assert verify_weights(pair, tol=float("inf")).passed
+    assert verify_weights(pair, tol=F(1, 10**9)).passed
+    for impossible in (0, -1.0):
+        with pytest.raises(WeightCheckFailureError):
+            verify_weights(pair, tol=impossible)
+
+
+def test_digits_residuals_take_no_mpmath_complex_arithmetic(monkeypatch):
+    import mpmath
+
+    pairs = [build_dual_pair(KroneckerSpec(o)) for o in ([1, 2, 5], [1, 6, 13, 15, 21, 25, 26, 35])]
+
+    def refuse(*args):
+        raise AssertionError("complex mpmath arithmetic in the weight check")
+
+    monkeypatch.setattr(mpmath.mpc, "__truediv__", refuse)
+    monkeypatch.setattr(mpmath.mpc, "__mul__", refuse)
+    for pair in pairs:
+        assert verify_weights(pair, tol=1e-12, digits=30).passed
+
+
+def _within_an_ulp(value: float, square: F) -> bool:
+    """|value - x| <= ulp(value) for the x >= 0 with x^2 = square, exactly."""
+    lo, hi = F(max(value - math.ulp(value), 0.0)), F(value + math.ulp(value))
+    return lo * lo <= square <= hi * hi
+
+
+@pytest.mark.parametrize("orders", [[1, 2, 5], [7, 11, 13, 17, 19, 23, 29, 31], [61]])
+def test_digits_residuals_are_the_exact_values_rounded_once(orders):
+    import mpmath
+
+    from ramanujan_popuc.duality import _root_angles, _unit_table
+
+    pair = build_dual_pair(KroneckerSpec(orders))
+    report = verify_weights(pair, tol=float("inf"), digits=30)
+    n1 = pair.charpoly.degree
+    with mpmath.workdps(30):
+        bits = mpmath.mp.prec + 16 + n1.bit_length()
+    h = pair.ramanujan.h[-1]
+    rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
+
+    # complex rationals as (re, im) pairs of Fractions
+    def mul(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    def div(u, v):
+        norm = v[0] ** 2 + v[1] ** 2
+        return mul(u, (v[0] / norm, -v[1] / norm))
+
+    mass_sum = F(0)
+    for row, (s, m) in zip(report.rows, _root_angles(pair.spec), strict=True):
+        xs, ys = _unit_table(m, bits)
+        d, p = (
+            (
+                F(sum(c * xs[s * k % m] for k, c in enumerate(r.ints)), r.den << bits),
+                F(sum(c * ys[s * k % m] for k, c in enumerate(r.ints)), r.den << bits),
+            )
+            for r in (rung.divmod(cyclotomic(m))[1] for rung in rungs)
+        )
+        w = div((h, F(0)), mul((d[0], -d[1]), p))
+        tw = div(p, d)
+        speed2 = d[0] ** 2 + d[1] ** 2
+        tw_sturm_route = h * n1 / speed2
+        assert row["product_residual"] == 0.0
+        exact = {
+            "equal_mass": ((n1 * w[0] - 1) ** 2 + (n1 * w[1]) ** 2),
+            "ramanujan_imag": w[1] ** 2,
+            "sturmian_imag": tw[1] ** 2,
+            "two_route": ((tw[0] - tw_sturm_route) / tw_sturm_route) ** 2,
+        }
+        for name, square in exact.items():
+            assert _within_an_ulp(row[f"{name}_residual"], square), (name, s, m)
+        assert row["sturmian_positive"] is (tw[0] > 0)
+        mass_sum += tw[0]
+    assert _within_an_ulp(report.sturmian_mass_sum_residual, (mass_sum - 1) ** 2)
+
+
+def test_folding_modulo_z_m_minus_1_keeps_the_remainder_modulo_c_m():
+    from ramanujan_popuc.duality import _mod_cyclotomic
+
+    rng = random.Random(25)
+    for m in range(1, 61):
+        for den in (1, rng.randrange(2, 10**6)):
+            for degree in (-1, m - 1, m, rng.randrange(3 * m + 1), 3 * m):
+                p = Poly.from_ints([rng.randrange(-(10**9), 10**9) for _ in range(degree + 1)], den)
+                assert _mod_cyclotomic(p, m) == p.divmod(cyclotomic(m))[1], (m, p)
