@@ -43,9 +43,10 @@ from .opuc_core import (
     PopucSystem,
     VerblunskySequence,
     _check_closed_minors,
+    _check_constant_terms,
     _check_rungs_by_determinants,
-    _schur_minors,
     _text,
+    _verify_annihilation,
     inverse_szego_step,
     moments_from_kronecker,
     moments_from_ladder,
@@ -77,10 +78,9 @@ def sturmian_from_charpoly(
     here, its subclass UnimodularConstantTermError from the descent, or
     InteriorCoefficientOutOfRangeError, a SingularMomentError, from
     VerblunskySequence when some |a_k| >= 1 below N.
-    The minors of the moments sigma_0..sigma_{N+1} that the ladder implies
-    are proven up to Delta_{N+2} = 0 (``_check_closed_minors``).  With
-    paranoid=True every rung is re-derived from the reconstructed
-    moments through the bordered-determinant formula, in one elimination.
+    ``_check_constant_terms`` and ``_verify_annihilation`` on the moments
+    it implies prove it and its minors; paranoid=True adds the elimination
+    of ``popuc_from_moments``.
     """
     n1 = charpoly.degree  # N + 1
     if n1 < 1 or not charpoly.is_monic:
@@ -112,10 +112,11 @@ def sturmian_from_charpoly(
         phis=tuple(ladder),
         verblunsky=VerblunskySequence(tuple(coeffs)),
     )
-    pivots, scale = _schur_minors(system.moments, n1 + 1)
-    _check_closed_minors(system, pivots, scale, "Toeplitz minors")
+    _check_constant_terms(system, system.family)
+    _verify_annihilation(system.moments, ladder)
     if paranoid:
-        _check_rungs_by_determinants(system.moments, ladder, "descent")
+        found = _check_rungs_by_determinants(system.moments, ladder, "descent")
+        _check_closed_minors(system, *found, "Toeplitz minors")
     return system
 
 

@@ -17,9 +17,9 @@ runs on integers over one common denominator, the form a MomentSequence
 and a Poly store (the fraction-free idea of Bareiss 1968), with a gcd per
 step or per result: Bareiss elimination for determinants and rungs, a
 content-reduced Schur sweep in O(n^2) for the leading minors (Bareiss
-1969, Collins 1967) whose integer pivots are matched against the integer
-norms (``_norm_step``), the O(N^2) ladder check (``_verify_annihilation``)
-and the Gram matrix, which computes each symmetric pair once.
+1969, Collins 1967), the integer norms (``_norm_step``), the O(N^2)
+ladder check (``_verify_annihilation``) and the Gram matrix, which
+computes each symmetric pair once.
 """
 
 from __future__ import annotations
@@ -256,31 +256,21 @@ def leading_toeplitz_minors(m: MomentSequence, n: int) -> list[Fraction]:
     division raw // u is exact and leaves F_{k+1} / v.  Dividing f and e
     by their joint content g then leaves F_{k+1} / s' and E_{k+1} / s' with
     s' = v * g, and Delta_{k+1} = P_{k+1} / D^{k+1} = s * pivot / D^{k+1}.
-    Dividing by u before the gcd keeps the gcd on short integers.  The
-    sweep (``_schur_minors``) keeps the integer pivots P_k and raises
-    SingularMomentError at the first one below P_n that is not positive
-    (it would be the next divisor); this function also rejects such a
-    P_n, and divides each P_k by D^k.
-
-    The minors are independent of the Levinson loop in
-    ``popuc_from_moments``: the sweep reads the moment table and nothing
-    else.  It never forms a polynomial Phi_k, a coefficient a_k or a norm
-    h_k, and shares no code with ``szego_step`` or ``Poly``.  A wrong a_n,
-    rung or norm on that side changes the norms but not these pivots, so
-    ``_check_closed_minors`` compares two routes, on both ladder sides.
+    Dividing by u before the gcd keeps the gcd on short integers.
+    ``_schur_minors`` keeps the integer pivots P_k and raises
+    SingularMomentError at the first P_k, k < n, that is not positive (the
+    next divisor); this function also rejects such a P_n, and divides each
+    P_k by D^k.  The builders run no sweep (``_verify_annihilation``).
     The tests keep general Bareiss elimination (``toeplitz_det``) as the oracle.
     """
     pivots, scale = _schur_minors(m, n)
     if pivots and pivots[-1] <= 0:
-        raise _not_positive(pivots, scale, m)
+        raise _not_positive(n, Fraction(pivots[-1], scale**n), m)
     return [Fraction(p, scale**k) for k, p in enumerate(pivots, 1)]
 
 
-def _not_positive(pivots: list[int], scale: int, m: MomentSequence) -> SingularMomentError:
-    k = len(pivots)
-    return SingularMomentError(
-        f"Delta_{k} = {_text(Fraction(pivots[-1], scale**k))} is not positive ({m.provenance})"
-    )
+def _not_positive(k: int, delta: Fraction, m: MomentSequence) -> SingularMomentError:
+    return SingularMomentError(f"Delta_{k} = {_text(delta)} is not positive ({m.provenance})")
 
 
 def _schur_minors(m: MomentSequence, n: int) -> tuple[list[int], int]:
@@ -298,7 +288,7 @@ def _schur_minors(m: MomentSequence, n: int) -> tuple[list[int], int]:
         if not e:
             break
         if pivot <= 0:
-            raise _not_positive(pivots, scale, m)
+            raise _not_positive(len(pivots), Fraction(minor, scale ** len(pivots)), m)
         g = gcd(prev, s * s)
         u, v = prev // g, s * s // g
         q = e[0]
@@ -472,13 +462,11 @@ class PopucSystem:
         minors, a closed form, a payload) against the norms; raise
         InternalInconsistencyError naming the first Delta_k that differs.
         delta[k-1] = P_k = D^k Delta_k for D = scale (the integer pivots of
-        a Schur sweep), or Delta_k itself for scale = 1.  With P_0 = 1 and
+        an elimination), or Delta_k itself for scale = 1.  With P_0 = 1 and
         h_k = hn_k / hd_k it checks P_{k+1} hd_k == D P_k hn_k, that is
-        Delta_{k+1} == Delta_k h_k, for k = 0..N.  Equal Delta gives every
-        equation, and by induction from Delta_0 = 1 the equations give
-        Delta_{k+1} = h_0 ... h_k, the system's Delta: the check matches
-        every Delta_k, so every h_n = Delta_{n+1} / Delta_n.  Fractions are
-        built only for the message.  Delta_{N+2}, which a payload does not
+        Delta_{k+1} == Delta_k h_k, for k = 0..N: by induction from
+        Delta_0 = 1, equal Delta_k for every k.  Fractions are built only
+        for the message.  Delta_{N+2}, which a payload does not
         carry, is checked by ``_check_closed_minors``."""
         delta = tuple(delta)
         if len(delta) != len(self._norms):
@@ -562,11 +550,7 @@ class PopucSystem:
             raise InternalInconsistencyError(
                 f"payload N = {n_max} but a_0..a_N gives N = {system.n_max}"
             )
-        for n, a_n in enumerate(system.verblunsky):
-            if a_n != -system.phis[n + 1][0]:
-                raise InternalInconsistencyError(
-                    f"payload Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
-                )
+        _check_constant_terms(system, "payload")
         try:
             _verify_annihilation(system.moments, list(system.phis))
             _check_moments_past_terminal(system.moments, system.terminal)
@@ -578,6 +562,15 @@ class PopucSystem:
             raise InternalInconsistencyError("payload h disagrees with prod(1 - a_k^2)")
         system.check_delta(values["delta"], "payload")
         return system
+
+
+def _check_constant_terms(system: PopucSystem, source: str) -> None:
+    """a_n = -Phi_{n+1}(0), n = 0..N: ``_norms`` are the rungs' own norms."""
+    for n, a_n in enumerate(system.verblunsky):
+        if a_n != -system.phis[n + 1][0]:
+            raise InternalInconsistencyError(
+                f"{source} Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
+            )
 
 
 def _check_closed_minors(system: PopucSystem, pivots, scale: int, route: str) -> None:
@@ -622,8 +615,8 @@ def _check_moments_past_terminal(m: MomentSequence, terminal: Poly) -> None:
 def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     """Every rung must kill z^j for j below its degree; this is the moment
     characterization of the ladder and holds for the terminal rung too
-    (it vanishes on the support).  It proves the ladders of
-    ``popuc_from_moments`` and the payloads ``PopucSystem.from_json_dict`` loads.
+    (it vanishes on the support).  It proves the ladders of both builders
+    and the payloads ``PopucSystem.from_json_dict`` loads.
 
     The check is O(N^2).  For each n >= 1 it asks two things of the rung
     Phi_n, in integers over the common denominators Phi_{n-1} = B / E_b,
@@ -647,6 +640,13 @@ def _verify_annihilation(m: MomentSequence, phis: list[Poly]) -> None:
     orthogonal polynomial of degree n, so it satisfies the recurrence with
     a = a_{n-1} = -Phi_n(0), and (i) and (ii) hold.  Multiplying by the
     positive integers E * E_b and D * E changes no verdict.
+
+    It also proves the minors.  Let sigma_0 = 1, a_n = -Phi_{n+1}(0)
+    (``_check_constant_terms``) and h_n = <Phi_n, z^n>.  By that symmetry
+    (ii) at n + 1 gives <z Phi_n, 1> = a_n h_n, so (i) gives h_{n+1} =
+    h_n (1 - a_n^2), as ``_norms`` steps.  The rungs are unit-triangular
+    and orthogonal, so Delta_{n+1} = h_0 ... h_n: |a_n| < 1 below N gives
+    Delta_1..Delta_{N+1} > 0, and |a_N| = 1 gives Delta_{N+2} = 0.
 
     At the first failing rung, the first nonzero <Phi_n, z^j> is reported
     as Fraction(sum, D * E) with its j: the rungs below passed, so this is
@@ -696,16 +696,15 @@ def determinant_formula_poly(m: MomentSequence, n: int) -> Poly:
     return Poly.from_ints(rows[n], rows[n][n])
 
 
-def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
+def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> tuple[list[int], int]:
     """The paranoid cross-check of a ladder built by `route`: every rung
     Phi_1..Phi_{N+1} must equal the bordered-determinant formula on the
-    moments m, all read from one O(N^3) ``_bordered_elimination``.  The
-    builders proved Delta_1..Delta_{N+1} > 0, and with no swap before it
-    column k has the pivot D^{k+1} Delta_{k+1}, so no swap occurs (one
-    raises) and row n's block is the cofactors of Phi_n, then zeros, for
-    every n <= N+1: the terminal rung too, whose pivot Delta_{N+2} = 0 is
-    never needed.  The route reads the moment table alone, with no Toeplitz
-    structure, recurrence or Schur step, so it stays independent."""
+    moments m, all from one O(N^3) ``_bordered_elimination`` of the moment
+    table alone.  The builders proved Delta_1..Delta_{N+1} > 0, so column k
+    has the pivot P_{k+1} = D^{k+1} Delta_{k+1}, no swap occurs (one raises)
+    and row n's block is the cofactors of Phi_n, then zeros, for n <= N+1.
+    Row n of the left block is that block times T, so its pivot P_{n+1} is
+    the block against column n: return P_1..P_{N+2} and D."""
     swaps, rows = _bordered_elimination(m, len(phis))
     if swaps != 0:
         raise InternalInconsistencyError(f"Delta_k = 0 for some k < {len(phis)} ({m.provenance})")
@@ -715,6 +714,8 @@ def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> None:
             raise InternalInconsistencyError(
                 f"rung {n}: {route} gives {phis[n]}, determinant formula {det_poly}"
             )
+    ints, scale = _scaled_prefix(m, len(phis))
+    return [sum(map(mul, row, ints[n::-1])) for n, row in enumerate(rows)], scale
 
 
 def popuc_from_moments(
@@ -725,18 +726,14 @@ def popuc_from_moments(
 ) -> PopucSystem:
     """Build the full ladder Phi_0..Phi_{N+1} from moments, N+1 = n_plus_1.
 
-    A Levinson-style update reads a_n = <z Phi_n, 1> / <Phi_n^*, 1> and
-    keeps no norm.  Phi_n^* is orthogonal to z^1..z^n, so for Phi_n = C / E
-    and S_t = D sigma_t, sum_k C_k S_{n-k} = D E h_n, positive because the
-    Schur sweep over sigma_0..sigma_{N+1} passed Delta_1..Delta_{N+1} > 0.
-    So is 1 - a_n^2 = Delta_{n+2} Delta_n / Delta_{n+1}^2 for n < N: only
-    |a_N| = 1 is tested (``VerblunskySequence`` holds the rest).  The sweep
-    reads the moment table alone, so by an independent route its minors
-    must equal the products of the norms, and Delta_{N+2} must be 0
-    (``_check_closed_minors``, as for the Sturmian ladder).  Every rung must
-    annihilate z^0..z^{n-1}, checked in O(N^2) (``_verify_annihilation``).
-    With paranoid=True every rung is also compared with the bordered-
-    determinant formula, in one O(N^3) elimination.
+    A Levinson-style update reads a_n = <z Phi_n, 1> / <Phi_n^*, 1>, whose
+    divisor sum_k C_k S_{n-k} is D E h_n for Phi_n = C / E, S_t = D sigma_t.
+    The loop steps h_{n+1} = h_n (1 - a_n^2) (the system's ``_norms``):
+    h_{n+1} > 0, |a_n| < 1, for n < N keeps the divisor positive.  Then
+    |a_N| = 1, ``_check_constant_terms`` and ``_verify_annihilation`` prove
+    every minor (see there).  paranoid=True also matches every rung with
+    the bordered-determinant formula, in one O(N^3) elimination whose
+    pivots close the minors (``_check_closed_minors``).
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
@@ -753,14 +750,16 @@ def popuc_from_moments(
     if m.ints[0] != m.den:
         raise SingularMomentError("ladder construction expects sigma_0 = 1")
 
-    pivots, scale = _schur_minors(m, n_terminal + 1)  # P_k = D^k Delta_k, k = 1..N+2
-
     ints = _scaled_prefix(m, n_terminal + 1)[0]  # S_t, so D E <z Phi_n, 1> = sum_k C_k S_{k+1}
-    phis = [Poly.one()]
-    a: list[Fraction] = []
+    phis, a, h = [Poly.one()], [], [(1, 1)]
     for n in range(n_terminal):
         c = phis[n].ints
         a.append(Fraction(sum(map(mul, c, ints[1 : n + 2])), sum(map(mul, c, ints[n::-1]))))
+        if n < n_terminal - 1:
+            h.append(_norm_step(h[-1], a[n]))
+            if h[-1][0] <= 0:
+                delta = list(accumulate(map(Fraction, *zip(*h)), mul))
+                raise _not_positive(n + 2, delta[-1], m)
         phis.append(szego_step(phis[n], a[n]))
     if abs(a[-1].numerator) != a[-1].denominator:
         raise TerminalMassError(
@@ -774,11 +773,13 @@ def popuc_from_moments(
         phis=tuple(phis),
         verblunsky=VerblunskySequence(tuple(a)),
     )
-    _check_closed_minors(system, pivots, scale, "Toeplitz minors")
+    system.__dict__["_norms"] = tuple(h)
+    _check_constant_terms(system, system.family)
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
     if paranoid:
-        _check_rungs_by_determinants(m, phis, "recurrence")
+        found = _check_rungs_by_determinants(m, phis, "recurrence")
+        _check_closed_minors(system, *found, "Toeplitz minors")
     return system
 
 

@@ -32,6 +32,7 @@ from ramanujan_popuc.errors import (
     WeightCheckFailureError,
 )
 from ramanujan_popuc.closed_forms import cf_ramanujan_anti2p
+from ramanujan_popuc.number_theory import factorize, prime_divisors
 from ramanujan_popuc.opuc_core import VerblunskySequence, gram_matrix
 from ramanujan_popuc.polynomials import (
     KroneckerSpec,
@@ -281,6 +282,44 @@ def test_ladder_of_2m_is_the_reflection_of_the_ladder_of_m():
             assert high.moments.sigma == tuple(
                 (-1) ** k * s for k, s in enumerate(low.moments.sigma)
             ), (m, side)
+
+
+def test_ladder_of_a_non_squarefree_modulus_is_the_sieve_of_its_radical():
+    """C_M(z) = C_{rad M}(z^l), l = M / rad(M), and both ladders are sieved
+    (B. Simon, OPUC Part 1, 2005): a_n(M) = a_{(n+1)/l - 1}(rad M) when l
+    divides n + 1, 0 otherwise, and Phi_{ql+r}(z) = z^r Phi_q^{rad}(z^l),
+    for every non-squarefree M <= 200.  For q = p^k the equal-mass side is
+    a_n = -1/(p - 1 - j) at n + 1 = (j + 1) p^{k-1}, 0 elsewhere."""
+    pairs = {}
+
+    def pair(m):
+        if m not in pairs:
+            pairs[m] = build_dual_pair(KroneckerSpec([m]))
+        return pairs[m]
+
+    sieved = [m for m in range(1, 201) if any(m % (p * p) == 0 for p in prime_divisors(m))]
+    assert len(sieved) == 78
+    for m in sieved:
+        rad = math.prod(prime_divisors(m))
+        ell = m // rad
+        for side in ("ramanujan", "sturmian"):
+            high, low = getattr(pair(m), side), getattr(pair(rad), side)
+            assert high.verblunsky.a == tuple(
+                low.verblunsky[(n + 1) // ell - 1] if (n + 1) % ell == 0 else 0
+                for n in range(len(high.verblunsky))
+            ), (m, side)
+            for n, phi in enumerate(high.phis):
+                q, r = divmod(n, ell)
+                coeffs = [0] * (n + 1)
+                coeffs[r::ell] = low.phis[q].coeffs
+                assert phi == Poly(coeffs), (m, side, n)
+    for m in (4, 8, 9, 25, 27, 49, 81, 121, 125, 169):
+        (p, k), = factorize(m)
+        step = p ** (k - 1)
+        assert pair(m).ramanujan.verblunsky.a == tuple(
+            F(-1, p - 1 - (n + 1) // step + 1) if (n + 1) % step == 0 else 0
+            for n in range(m - step)
+        ), m
 
 
 # -- numeric layer -------------------------------------------------------------

@@ -871,29 +871,32 @@ def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
 @pytest.mark.parametrize(
     "namespace, build",
     [
-        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6)),
-        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10))),
+        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6, paranoid=True)),
+        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10), paranoid=True)),
     ],
     ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
 )
 def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build):
     """Every Delta_k, k <= N+1, is matched against the norms, and both
-    sides sweep to Delta_{N+2}, which must be 0.  Both sides check the
-    integer pivots P_k = D^k Delta_k of ``_schur_minors``, each moved by one
-    unit up and down in turn."""
+    sides close with Delta_{N+2}, which must be 0.  Under paranoid=True
+    both sides check the integer pivots P_k = D^k Delta_k of their one
+    bordered elimination (``_check_rungs_by_determinants``), which the
+    Bareiss oracle confirms, each moved by one unit up and down in turn."""
     system = build()
     n2 = system.n_max + 2
-    minors_of = namespace._schur_minors
-    _, d = minors_of(system.moments, n2)
+    pivots_of = namespace._check_rungs_by_determinants
+    pivots, d = pivots_of(system.moments, system.phis, "test")
+    minors = [F(p, d**k) for k, p in enumerate(pivots, 1)]
+    assert minors == [toeplitz_det(system.moments, k) for k in range(1, n2 + 1)]
     for k in range(1, n2 + 1):
         for unit in (1, -1):
 
-            def bumped(m, n, k=k, unit=unit):
-                pivots, scale = minors_of(m, n)
+            def bumped(m, phis, route, k=k, unit=unit):
+                pivots, scale = pivots_of(m, phis, route)
                 pivots[k - 1] += unit
                 return pivots, scale
 
-            monkeypatch.setattr(namespace, "_schur_minors", bumped)
+            monkeypatch.setattr(namespace, "_check_rungs_by_determinants", bumped)
             step = F(unit, d**k)  # one unit of P_k in Delta_k
             if k < n2:
                 own = system.delta[k - 1]
@@ -914,29 +917,137 @@ def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build
     "orders", [[7], [1, 2, 5], [1, 6, 13, 15, 21, 25, 26, 35]], ids=["M=7", "1,2,5", "8 orders"]
 )
 def test_sturmian_last_moment_is_proven_by_the_closing_minor(monkeypatch, orders):
-    """sigma_{N+1} of the Sturmian side enters no minor below Delta_{N+2}:
-    raised by one unit over its denominator, it is caught by Delta_{N+2} = 0
-    without the paranoid check, whose value the Bareiss oracle confirms."""
+    """sigma_{N+1} of the Sturmian side enters no minor below Delta_{N+2}
+    and no rung below Phi_{N+1}: raised by one unit over its denominator,
+    it is caught by the annihilation check of the terminal rung,
+    <Phi_{N+1}, 1> = that unit, with or without the paranoid check.  The
+    paranoid check alone catches it too, and the Bareiss oracle confirms
+    that it moves Delta_{N+2} off 0."""
     recover = duality.moments_from_ladder
-    seen = []
+    seen, units = [], []
 
     def raised(phis, provenance):
         m = recover(phis, provenance)
-        seen.append(MomentSequence.from_ints((*m.ints[:-1], m.ints[-1] + 1), m.den, provenance))
+        units.append(F(1, m.den))
+        seen.append(_raised(m, m.max_index))
         return seen[-1]
 
     monkeypatch.setattr(duality, "moments_from_ladder", raised)
     spec = KroneckerSpec(orders)
-    n2 = spec.total_degree + 1
-    with pytest.raises(InternalInconsistencyError) as err:
-        build_dual_pair(spec)
-    delta = toeplitz_det(seen[0], n2)
-    assert str(err.value) == (
-        f"Delta_{n2} = {delta} by Toeplitz minors, but |a_{n2 - 2}| = 1 makes it 0 "
-        f"(sturmian:{spec.label})"
-    )
+    n1 = spec.total_degree
+    for paranoid in (False, True):
+        with pytest.raises(InternalInconsistencyError) as err:
+            build_dual_pair(spec, paranoid=paranoid)
+        assert str(err.value) == f"<Phi_{n1}, z^0> = {units[-1]} != 0 (sturmian:{spec.label})"
+    monkeypatch.setattr(duality, "_verify_annihilation", lambda m, phis: None)
+    with pytest.raises(InternalInconsistencyError, match=f"^rung {n1}: descent gives "):
+        build_dual_pair(spec, paranoid=True)
+    delta = toeplitz_det(seen[0], n1 + 1)
+    assert delta != 0
     if orders == [7]:
         assert delta == F(1, 16)
+
+
+FAULT_SPECS = [[7], [1, 2, 5], [1, 6, 13, 15, 21, 25, 26, 35]]
+
+
+def _raised(m: MomentSequence, k: int) -> MomentSequence:
+    """m with sigma_k raised by one unit over its denominator."""
+    ints = list(m.ints)
+    ints[k] += 1
+    return MomentSequence.from_ints(ints, m.den, m.provenance)
+
+
+@pytest.mark.parametrize("orders", FAULT_SPECS, ids=["M=7", "1,2,5", "8 orders"])
+def test_annihilation_catches_every_single_moment_bump_on_both_sides(orders):
+    """The annihilation check ties a built ladder to its moments: any
+    sigma_k, 1 <= k <= N+1, raised by one unit over its denominator is
+    rejected on both sides, at the rung Phi_k, where <Phi_k, 1> moves by
+    that unit."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    for system in (pair.ramanujan, pair.sturmian):
+        m, phis = system.moments, list(system.phis)
+        _verify_annihilation(m, phis)
+        for k in range(1, system.n_max + 2):
+            message = f"<Phi_{k}, z^0> = {F(1, m.den)} != 0 ({m.provenance})"
+            with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+                _verify_annihilation(_raised(m, k), phis)
+
+
+@pytest.mark.parametrize("orders", FAULT_SPECS, ids=["M=7", "1,2,5", "8 orders"])
+def test_every_sturmian_moment_bump_fails_the_default_build(monkeypatch, orders):
+    recover = duality.moments_from_ladder
+    spec = KroneckerSpec(orders)
+    unit = F(1, build_dual_pair(spec).sturmian.moments.den)
+    for k in range(1, spec.total_degree + 1):
+        monkeypatch.setattr(
+            duality, "moments_from_ladder", lambda phis, provenance, k=k: _raised(recover(phis, provenance), k)
+        )
+        message = f"<Phi_{k}, z^0> = {unit} != 0 (sturmian:{spec.label})"
+        with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+            build_dual_pair(spec)
+
+
+@pytest.mark.parametrize("orders", [[7], [1, 2, 5]], ids=["M=7", "1,2,5"])
+def test_a_rung_off_its_coefficient_fails_the_default_build(monkeypatch, orders):
+    """szego_step using a_n + 1/101 for one n: the stored a_n then differs
+    from -Phi_{n+1}(0).  At the terminal step that is the first check to
+    see it; below it the wrong rung makes |a_N| != 1 (TerminalMassError)."""
+    step = opuc_core.szego_step
+    spec = KroneckerSpec(orders)
+    n_max = spec.total_degree - 1
+    for off in range(n_max + 1):
+        calls = []
+
+        def wrong(phi, a, off=off):
+            calls.append(a)
+            return step(phi, a + F(1, 101) if len(calls) == off + 1 else a)
+
+        monkeypatch.setattr(opuc_core, "szego_step", wrong)
+        if off < n_max:
+            with pytest.raises(TerminalMassError, match=rf"^\|a_{n_max}\| = "):
+                build_dual_pair(spec)
+            continue
+        message = (
+            f"ramanujan:{spec.label} Phi_{n_max + 1} is not z Phi_{n_max} - a_{n_max} "
+            f"Phi_{n_max}^*"
+        )
+        with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+            build_dual_pair(spec)
+
+
+def test_the_default_build_runs_no_schur_sweep(monkeypatch):
+    """Neither builder reaches ``_schur_minors``, with or without the
+    paranoid check, whose minors come from its own elimination."""
+
+    def forbidden(*args):
+        raise AssertionError("a builder ran the Schur sweep")
+
+    for namespace in (opuc_core, duality):
+        monkeypatch.setattr(namespace, "_schur_minors", forbidden, raising=False)
+    for orders, paranoid in (([7], False), ([7], True), ([211], False), ([1, 2, 5], False),
+                             ([1, 2, 5], True), ([31], True)):
+        pair = build_dual_pair(KroneckerSpec(orders), paranoid=paranoid)
+        assert pair.ramanujan.terminal == pair.sturmian.terminal
+
+
+def test_loader_and_builders_share_the_constant_term_check():
+    """One helper compares a_n with -Phi_{n+1}(0); the loader's message is
+    unchanged, and a builder's names the family."""
+    system = build_dual_pair(KroneckerSpec([7])).sturmian
+    a = list(system.verblunsky)
+    a[2] = -a[2]
+    wrong = PopucSystem(system.family, system.moments, system.phis, VerblunskySequence(tuple(a)))
+    for source, message in (
+        ("payload", "payload Phi_3 is not z Phi_2 - a_2 Phi_2^*"),
+        (system.family, "sturmian:7 Phi_3 is not z Phi_2 - a_2 Phi_2^*"),
+    ):
+        with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+            opuc_core._check_constant_terms(wrong, source)
+    payload = system.to_json_dict()
+    payload["verblunsky"] = wrong.verblunsky.to_json_list()
+    with pytest.raises(InternalInconsistencyError, match=re.escape("payload Phi_3 is not")):
+        PopucSystem.from_json_dict(payload)
 
 
 def test_moments_from_ladder_inverts_construction():
