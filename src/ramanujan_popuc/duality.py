@@ -90,7 +90,7 @@ def sturmian_from_charpoly(
             f"|constant term| = {_text(abs(charpoly[0]))} != 1: roots cannot all lie on the circle"
         )
     a_terminal = -charpoly[0]
-    phi_n = charpoly.derivative() * Fraction(1, n1)
+    phi_n = Poly.from_ints([k * c for k, c in enumerate(charpoly.ints) if k], charpoly.den * n1)
     # The terminal step must regenerate the characteristic polynomial;
     # this pins down a_N and is where a non-self-inversive input fails.
     if szego_step(phi_n, a_terminal) != charpoly:
@@ -112,7 +112,7 @@ def sturmian_from_charpoly(
         phis=tuple(ladder),
         verblunsky=VerblunskySequence(tuple(coeffs)),
     )
-    _check_constant_terms(system, system.family)
+    _check_constant_terms(coeffs, ladder, system.family)
     _verify_annihilation(system.moments, ladder)
     if paranoid:
         found = _check_rungs_by_determinants(system.moments, ladder, "descent")
@@ -197,7 +197,12 @@ def numeric_roots(spec: KroneckerSpec) -> tuple:
     (never by iterative root finding), grouped by order in the order of
     ``_root_angles``, so each one pairs with the cyclotomic factor it is a
     root of."""
-    return tuple(cmath.exp(2j * cmath.pi * s / m) for s, m in _root_angles(spec))
+    return tuple(_numeric_root(s, m) for s, m in _root_angles(spec))
+
+
+def _numeric_root(s: int, m: int) -> complex:
+    """e^{2 pi i s/m} at double precision: the one formula for a root."""
+    return cmath.exp(2j * cmath.pi * s / m)
 
 
 @dataclass
@@ -308,7 +313,8 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     }
     h_num, equal_mass = h_n[0] / h_n[1], 1 / n1
     rows, mass_sum = [], 0.0
-    for z, (_, m) in zip(numeric_roots(pair.spec), _root_angles(pair.spec)):
+    for s, m in _root_angles(pair.spec):
+        z = _numeric_root(s, m)
         d_val, p_val = (horner(c, z) for c in coeffs[m])
         if not (d_val and p_val):
             rows.append((z, *_NO_MASS))
@@ -332,10 +338,24 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
 def _mod_cyclotomic(p: Poly, m: int) -> Poly:
     """p modulo C_m.  p is first folded modulo z^m - 1, which C_m divides,
     so the division runs on at most m coefficients, not deg p + 1; the
-    remainder is the same."""
-    if len(p.ints) > m:
-        p = Poly.from_ints([sum(p.ints[j::m]) for j in range(m)], p.den)
-    return p.divmod(cyclotomic(m))[1]
+    remainder is the same.
+
+    For p = P / E the remainder is (P mod C_m) / E: C_m is monic with
+    integer coefficients, so each division step subtracts an integer
+    multiple of it from the integer numerators, with no pseudo-division
+    scaling, and the quotient is never needed.  A p of degree below
+    phi(m), as every rung of a single-order spec is, is its own remainder."""
+    c = cyclotomic(m).ints
+    dd = len(c) - 1
+    if len(p.ints) <= dd:
+        return p
+    ints = p.ints
+    rem = [sum(ints[j::m]) for j in range(m)] if len(ints) > m else list(ints)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        top = rem[i]
+        if top:
+            rem[i - dd : i] = [x - top * y for x, y in zip(rem[i - dd : i], c)]
+    return Poly.from_ints(rem[:dd], p.den)
 
 
 def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
@@ -433,7 +453,9 @@ def _mpf_nearest(p: int, q: int):
     return mpmath.mp.make_mpf(bits)
 
 
-_RESIDUALS = ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
+_RESIDUALS = tuple(
+    f"{k}_residual" for k in ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
+)
 # a wrong rung can be exactly 0 at an order-1 or order-2 root (its remainder
 # is a constant): no mass is defined there
 _NO_MASS = (float("nan"), float("nan"), (float("inf"),) * len(_RESIDUALS), False)
@@ -448,7 +470,8 @@ def _verify_weights_impl(tol: float, points, mass_sum_residual: float) -> Weight
         # a Sturmian mass that is not positive counts as a residual of 1
         worsts.append(max(residuals) if positive else max(*residuals, 1.0))
         row = {"root": z, "ramanujan_mass": w, "sturmian_mass": tw, "sturmian_positive": positive}
-        report.rows.append(row | {f"{k}_residual": r for k, r in zip(_RESIDUALS, residuals)})
+        row.update(zip(_RESIDUALS, residuals))
+        report.rows.append(row)
 
     report.max_residual = worst = max(0.0, *worsts, mass_sum_residual)
     report.passed = worst < tol

@@ -336,9 +336,9 @@ def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
 def szego_step(phi: Poly, a: Fraction) -> Poly:
     """One forward recurrence step: z * phi - a * phi^* (real case), as
     (q z P - p P^*) / (q d) for phi = P / d and a = p / q in lowest terms."""
-    if not phi.is_monic:
-        raise InvalidCharacteristicError("recurrence steps need a monic polynomial")
     p, q, ints = a.numerator, a.denominator, phi.ints
+    if not (ints and ints[-1] == phi.den):
+        raise InvalidCharacteristicError("recurrence steps need a monic polynomial")
     shifted, star = (0, *ints), (*ints[::-1], 0)
     return Poly.from_ints([q * x - p * y for x, y in zip(shifted, star)], q * phi.den)
 
@@ -437,7 +437,7 @@ class PopucSystem:
         if len(self.phis) != self.verblunsky.n_max + 2:
             raise InternalInconsistencyError("ladder length does not match coefficients")
         for n, phi in enumerate(self.phis):
-            if phi.degree != n or not phi.is_monic:
+            if len(phi.ints) != n + 1 or phi.ints[-1] != phi.den:
                 raise InternalInconsistencyError(f"rung {n} is not monic of degree {n}")
         if self.moments.ints[0] != self.moments.den:
             raise InternalInconsistencyError("systems are normalized to sigma_0 = 1")
@@ -550,7 +550,7 @@ class PopucSystem:
             raise InternalInconsistencyError(
                 f"payload N = {n_max} but a_0..a_N gives N = {system.n_max}"
             )
-        _check_constant_terms(system, "payload")
+        _check_constant_terms(system.verblunsky.a, system.phis, "payload")
         try:
             _verify_annihilation(system.moments, list(system.phis))
             _check_moments_past_terminal(system.moments, system.terminal)
@@ -564,10 +564,14 @@ class PopucSystem:
         return system
 
 
-def _check_constant_terms(system: PopucSystem, source: str) -> None:
-    """a_n = -Phi_{n+1}(0), n = 0..N: ``_norms`` are the rungs' own norms."""
-    for n, a_n in enumerate(system.verblunsky):
-        if a_n != -system.phis[n + 1][0]:
+def _check_constant_terms(verblunsky, phis, source: str) -> None:
+    """a_n = -Phi_{n+1}(0), n = 0..N: ``_norms`` are the rungs' own norms.
+    For a_n = p / q and Phi_{n+1}(0) = C_0 / E, both in their stored forms
+    (q > 0, E > 0), a_n == -C_0 / E exactly when p E == -C_0 q: multiplying
+    both sides by the positive q E changes no verdict, so no Fraction is built."""
+    for n, a_n in enumerate(verblunsky):
+        rung = phis[n + 1]
+        if a_n.numerator * rung.den != -rung.ints[0] * a_n.denominator:
             raise InternalInconsistencyError(
                 f"{source} Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
             )
@@ -730,10 +734,12 @@ def popuc_from_moments(
     divisor sum_k C_k S_{n-k} is D E h_n for Phi_n = C / E, S_t = D sigma_t.
     The loop steps h_{n+1} = h_n (1 - a_n^2) (the system's ``_norms``):
     h_{n+1} > 0, |a_n| < 1, for n < N keeps the divisor positive.  Then
-    |a_N| = 1, ``_check_constant_terms`` and ``_verify_annihilation`` prove
-    every minor (see there).  paranoid=True also matches every rung with
-    the bordered-determinant formula, in one O(N^3) elimination whose
-    pivots close the minors (``_check_closed_minors``).
+    ``_check_constant_terms``, |a_N| = 1 and ``_verify_annihilation`` prove
+    every minor (see there).  The first runs before the |a_N| test, so a
+    rung off its own a_n is reported as the recurrence's fault, not the
+    moments'.  paranoid=True also matches every rung with the
+    bordered-determinant formula, in one O(N^3) elimination whose pivots
+    close the minors (``_check_closed_minors``).
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
@@ -761,6 +767,8 @@ def popuc_from_moments(
                 delta = list(accumulate(map(Fraction, *zip(*h)), mul))
                 raise _not_positive(n + 2, delta[-1], m)
         phis.append(szego_step(phis[n], a[n]))
+    family = family or m.provenance
+    _check_constant_terms(a, phis, family)
     if abs(a[-1].numerator) != a[-1].denominator:
         raise TerminalMassError(
             f"|a_{n_terminal - 1}| = {_text(abs(a[-1]))} != 1: moments do not describe "
@@ -768,13 +776,12 @@ def popuc_from_moments(
         )
 
     system = PopucSystem(
-        family=family or m.provenance,
+        family=family,
         moments=m,
         phis=tuple(phis),
         verblunsky=VerblunskySequence(tuple(a)),
     )
     system.__dict__["_norms"] = tuple(h)
-    _check_constant_terms(system, system.family)
     _verify_annihilation(m, phis)
     _check_moments_past_terminal(m, phis[-1])
     if paranoid:

@@ -61,7 +61,7 @@ def _lowest_terms(ints, den: int) -> tuple[tuple[int, ...], int]:
     their gcd, signed so that the denominator is positive."""
     ints = tuple(ints)
     g = gcd(*ints, den) if den > 0 else -gcd(*ints, den)
-    return (tuple(c // g for c in ints) if g != 1 else ints), den // g
+    return (tuple([c // g for c in ints]) if g != 1 else ints), den // g
 
 
 def render_rationals(values, den: int | None = None) -> list[str]:
@@ -116,11 +116,12 @@ class Poly:
     @staticmethod
     def from_ints(ints: Iterable[int], den: int = 1) -> "Poly":
         """sum_k ints[k] / den * z^k (integers, den != 0) in the stored form."""
-        ints = list(ints)
-        while ints and not ints[-1]:
-            ints.pop()
+        ints = tuple(ints)  # the one copy: a whole slice and _lowest_terms keep a tuple
+        n = len(ints)
+        while n and not ints[n - 1]:
+            n -= 1
         p = object.__new__(Poly)
-        p.ints, p.den = _lowest_terms(ints, den)
+        p.ints, p.den = _lowest_terms(ints[:n], den)
         return p
 
     # -- constructors ------------------------------------------------

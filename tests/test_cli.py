@@ -4,10 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,19 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0 and proc.stdout.strip() == "4 -1 -1 -1 -1"
 
 
+def test_importing_the_package_and_cli_loads_no_optional_dependency():
+    """mpmath loads only when a `--digits` check runs, and sympy and
+    hypothesis are test oracles: importing the package and its CLI in a
+    fresh interpreter loads none of them, so none adds to start-up time."""
+    code = (
+        "import sys, ramanujan_popuc, ramanujan_popuc.cli; "
+        "print(sorted({'mpmath', 'sympy', 'hypothesis'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 # -- the one output path: every byte, each format ------------------------------
 
 # stdout of each command, byte for byte (csv rows end in \r\n, as the csv
@@ -502,6 +517,16 @@ def test_json_output_hash_is_unchanged(capsys, command):
     code, out, err = run_cli(capsys, *command.split(), "--format", "json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
+def test_verify_sweep_output_hash_is_unchanged(capsys):
+    """Every line of the 332-spec sweep, recorded before its builders and
+    weight check stopped building Fractions and Polys only to compare them."""
+    code, out, err = run_cli(capsys, "verify", "--max-m", "60", "--families", "all")
+    assert (code, err) == (0, "note: kronecker-enum caps orders at 12, below --max-m 60\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d017a4ef55a1475869aac5dbd31f662d9e046b63f48282913a70a40093e92ef6"
+    )
 
 
 # SHA-256 of the whole table and CSV output of larger ladders, recorded

@@ -657,3 +657,54 @@ def test_folding_modulo_z_m_minus_1_keeps_the_remainder_modulo_c_m():
             for degree in (-1, m - 1, m, rng.randrange(3 * m + 1), 3 * m):
                 p = Poly.from_ints([rng.randrange(-(10**9), 10**9) for _ in range(degree + 1)], den)
                 assert _mod_cyclotomic(p, m) == p.divmod(cyclotomic(m))[1], (m, p)
+
+
+def _divmod_horner_weight_rows(pair):
+    """The rows of ``verify_weights`` in double precision by its first
+    formula: each rung's remainder from ``Poly.divmod`` by C_m, converted
+    coefficient by coefficient and summed by Horner at every root."""
+    n1 = pair.charpoly.degree
+    rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
+    h_n = pair.ramanujan._norms[-1]
+    h_num, equal_mass = h_n[0] / h_n[1], 1 / n1
+    names = ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
+    rows = []
+    for m in pair.spec.orders:
+        rems = [rung.divmod(cyclotomic(m))[1] for rung in rungs]
+        coeffs = [[complex(c / r.den) for c in r.ints] for r in rems]
+        for s in range(1, m + 1):
+            if math.gcd(s, m) != 1:
+                continue
+            z = cmath.exp(2j * cmath.pi * s / m)
+            d_val, p_val = (horner(c, z) for c in coeffs)
+            w = h_num / (d_val.conjugate() * p_val)
+            tw = p_val / d_val
+            speed2 = (d_val * d_val.conjugate()).real
+            tw_sturm_route = h_num * n1 / speed2
+            residuals = (
+                abs(w - equal_mass) / equal_mass,
+                abs(w.imag),
+                abs(tw.imag),
+                abs(w * tw * speed2 - h_num) / h_num,
+                abs(tw.real - tw_sturm_route) / tw_sturm_route,
+            )
+            row = {"root": z, "ramanujan_mass": w, "sturmian_mass": tw,
+                   "sturmian_positive": tw.real > 0}
+            rows.append(row | {f"{k}_residual": r for k, r in zip(names, residuals)})
+    return rows
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [[7], [61], [211], [422], [1], [2], [1, 2, 5], [3, 5, 7, 11],
+     [1, 2, 3, 5, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18]],
+    ids=lambda orders: ",".join(map(str, orders)),
+)
+def test_double_precision_weight_rows_are_bit_identical_to_divmod_and_horner(orders):
+    """The in-place reduction modulo C_m and the one root enumeration give
+    every row float for float as the quotient-building ``Poly.divmod`` and
+    a second enumeration did: repr tells -0.0 from 0.0 and every bit of a
+    finite float.  M = 61 fails the default tolerance, so none is set."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    rows = verify_weights(pair, tol=math.inf).rows
+    assert repr(rows) == repr(_divmod_horner_weight_rows(pair))

@@ -991,8 +991,9 @@ def test_every_sturmian_moment_bump_fails_the_default_build(monkeypatch, orders)
 @pytest.mark.parametrize("orders", [[7], [1, 2, 5]], ids=["M=7", "1,2,5"])
 def test_a_rung_off_its_coefficient_fails_the_default_build(monkeypatch, orders):
     """szego_step using a_n + 1/101 for one n: the stored a_n then differs
-    from -Phi_{n+1}(0).  At the terminal step that is the first check to
-    see it; below it the wrong rung makes |a_N| != 1 (TerminalMassError)."""
+    from -Phi_{n+1}(0).  The builder compares them before it tests
+    |a_N| = 1, so at every step the fault is named as the recurrence's, at
+    its own n, not as the moments' (TerminalMassError)."""
     step = opuc_core.szego_step
     spec = KroneckerSpec(orders)
     n_max = spec.total_degree - 1
@@ -1004,14 +1005,7 @@ def test_a_rung_off_its_coefficient_fails_the_default_build(monkeypatch, orders)
             return step(phi, a + F(1, 101) if len(calls) == off + 1 else a)
 
         monkeypatch.setattr(opuc_core, "szego_step", wrong)
-        if off < n_max:
-            with pytest.raises(TerminalMassError, match=rf"^\|a_{n_max}\| = "):
-                build_dual_pair(spec)
-            continue
-        message = (
-            f"ramanujan:{spec.label} Phi_{n_max + 1} is not z Phi_{n_max} - a_{n_max} "
-            f"Phi_{n_max}^*"
-        )
+        message = f"ramanujan:{spec.label} Phi_{off + 1} is not z Phi_{off} - a_{off} Phi_{off}^*"
         with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
             build_dual_pair(spec)
 
@@ -1043,11 +1037,47 @@ def test_loader_and_builders_share_the_constant_term_check():
         (system.family, "sturmian:7 Phi_3 is not z Phi_2 - a_2 Phi_2^*"),
     ):
         with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
-            opuc_core._check_constant_terms(wrong, source)
+            opuc_core._check_constant_terms(wrong.verblunsky, wrong.phis, source)
     payload = system.to_json_dict()
     payload["verblunsky"] = wrong.verblunsky.to_json_list()
     with pytest.raises(InternalInconsistencyError, match=re.escape("payload Phi_3 is not")):
         PopucSystem.from_json_dict(payload)
+
+
+def _fraction_constant_term_check(verblunsky, phis, source):
+    """The constant-term check as it read on Fractions: the oracle of the
+    integer comparison in ``_check_constant_terms``."""
+    for n, a_n in enumerate(verblunsky):
+        if a_n != -phis[n + 1][0]:
+            raise InternalInconsistencyError(
+                f"{source} Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
+            )
+
+
+@pytest.mark.parametrize(
+    "orders", [[7], [1, 2, 5], [1, 6, 13, 15, 21, 25, 26, 35]], ids=["M=7", "1,2,5", "8 orders"]
+)
+def test_the_integer_constant_term_check_sees_every_fault_the_fraction_check_sees(orders):
+    """On both ladder sides and at every n, a rung's constant-term numerator
+    moved by +-1 and a_n negated each raise the exact message at that n,
+    as the Fraction comparison does; the unfaulted ladders pass both."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    for system in (pair.ramanujan, pair.sturmian):
+        a, phis = list(system.verblunsky), list(system.phis)
+        for check in (opuc_core._check_constant_terms, _fraction_constant_term_check):
+            check(a, phis, system.family)
+        for n, a_n in enumerate(a):
+            assert a_n, (system.family, n)  # so that negating it is a fault
+            rung = phis[n + 1]
+            faults = [(a[:n] + [-a_n] + a[n + 1 :], phis)]
+            for step in (1, -1):
+                moved = Poly.from_ints((rung.ints[0] + step, *rung.ints[1:]), rung.den)
+                faults.append((a, phis[: n + 1] + [moved] + phis[n + 2 :]))
+            message = f"{system.family} Phi_{n + 1} is not z Phi_{n} - a_{n} Phi_{n}^*"
+            for fault in faults:
+                for check in (opuc_core._check_constant_terms, _fraction_constant_term_check):
+                    with pytest.raises(InternalInconsistencyError, match=f"^{re.escape(message)}$"):
+                        check(*fault, system.family)
 
 
 def test_moments_from_ladder_inverts_construction():
