@@ -175,8 +175,6 @@ def cmd_dual(args) -> int:
                 "root_re": float(r["root"].real),
                 "root_im": float(r["root"].imag),
                 "equal_mass_residual": r["equal_mass_residual"],
-                "product_residual": r["product_residual"],
-                "two_route_residual": r["two_route_residual"],
                 "sturmian_positive": r["sturmian_positive"],
             }
             for i, r in enumerate(report.rows)

@@ -9,8 +9,8 @@ The equal-mass (Ramanujan) system on the roots of a Kronecker polynomial
 is mirror-dual to the Sturmian system, whose next-to-last rung is the
 normalized derivative of the terminal polynomial and whose masses are
 proportional to 1/|Phi'_{N+1}(z_s)|^2.  Everything provable in Q is
-checked with exact rational equality; the per-root weight identities live
-at irrational spectral points and are corroborated numerically (double
+checked with exact rational equality; the per-root weight identity lives
+at irrational spectral points and is corroborated numerically (double
 precision by default, or at any requested number of digits).
 
 A spectral point z_s of order m is a root of the cyclotomic polynomial
@@ -18,7 +18,7 @@ C_m, so every value the weight identities need, C'(z_s) and Phi_N(z_s),
 equals the value at z_s of the rung's exact remainder modulo C_m, of
 degree below phi(m): only the rounding changes, and it shrinks.  With
 ``digits`` that remainder is summed exactly in integers against a
-fixed-point table of the m-th roots of unity, and every residual is an
+fixed-point table of the m-th roots of unity, and the residual is an
 exact rational function of those sums, rounded once to a float, so the
 table is the only approximation (formulas in ``verify_weights``).
 """
@@ -207,18 +207,16 @@ def _numeric_root(s: int, m: int) -> complex:
 
 @dataclass
 class WeightReport:
-    """Per-root residuals of the weight identities of a dual pair.
+    """The per-root residual of the weight identity of a dual pair.
 
-    rows: one entry per root with the evaluated masses and residuals
-    for (i) equal masses on the Ramanujan side, (ii) positivity of the
-    Sturmian masses, (iii) the product relation
-    w_s * tw_s * |Phi'_{N+1}(z_s)|^2 = h_N, and (iv) agreement of the
-    two routes to the Sturmian mass.
+    rows: one entry per root with the evaluated masses w_s and tw_s, (i)
+    the residual of equal masses on the Ramanujan side, from which the
+    Sturmian mass follows, and (ii) whether tw_s is positive, which a
+    residual below 1 implies (``verify_weights`` gives both arguments).
     """
 
     tol: float
     rows: list[dict] = field(default_factory=list)
-    sturmian_mass_sum_residual: float = 0.0
     max_residual: float = 0.0
     passed: bool = True
 
@@ -227,24 +225,34 @@ class WeightReport:
             "tol": self.tol,
             "passed": self.passed,
             "max_residual": self.max_residual,
-            "sturmian_mass_sum_residual": self.sturmian_mass_sum_residual,
             "roots_checked": len(self.rows),
         }
 
 
 def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None) -> WeightReport:
-    """Check the weight identities of a dual pair at every spectral point.
+    """Check the weight identity of a dual pair at every spectral point.
 
-    At each root z_s of the shared characteristic polynomial:
+    At each root z_s of the shared characteristic polynomial, with
+    d = Phi'_{N+1}(z_s), p = Phi_N(z_s) (Ramanujan ladder's Phi_N) and
+    c = conj(d) p, the equal-mass formula w_s = h_N / c must give 1/(N+1).
+    Each row reports w_s, the Sturmian mass tw_s = p / d, whether tw_s > 0,
+    and the residual e = (N+1) |w_s - 1/(N+1)| = |(N+1) h_N - c| / |c|;
+    the pair passes when every e < tol.
 
-    * the equal-mass formula w_s = h_N / (conj(Phi'_{N+1}(z_s)) * Phi_N(z_s))
-      (Ramanujan ladder's Phi_N) must give 1/(N+1);
-    * the Sturmian mass tw_s = Phi_N(z_s) / Phi'_{N+1}(z_s), again with the
-      Ramanujan ladder's Phi_N, must be a positive real, the masses must
-      sum to 1, and the same value must come out of the Sturmian ladder's
-      own mass formula h_N * (N+1) / |Phi'_{N+1}(z_s)|^2;
-    * the product relation w_s * tw_s * |Phi'_{N+1}(z_s)|^2 = h_N closes
-      the loop.
+    e decides every other weight statement.  For any nonzero d and p, with
+    K = (N+1) h_N > 0 and |Im c| = |Im(K - c)| <= |K - c| = e |c|:
+
+    * |Im w_s| = |Im(w_s - 1/(N+1))| <= e / (N+1);
+    * tw_s = c / |d|^2, so |Im tw_s| <= e |tw_s|;
+    * the Sturmian ladder's own mass h_N (N+1) / |d|^2 = K / |d|^2 differs
+      from Re tw_s by |Re c - K| / K <= e |c| / K <= e / (1 - e) of itself
+      when e < 1, since |c| <= K + e |c|;
+    * w_s tw_s |d|^2 = h_N holds by the definitions of w_s and tw_s;
+    * Re tw_s <= 0 means Re c <= 0, so |K - c|^2 >= K^2 + |c|^2 and e > 1;
+    * the Sturmian masses sum to [z^N] Phi_N by Lagrange interpolation at
+      the N+1 simple roots of C = Phi_{N+1}: sum_s g(z_s) / C'(z_s) = [z^N] g
+      for deg g <= N.  That is 1 for every monic Phi_N, even a wrong one,
+      so the sum measures only rounding.
 
     Both rungs are evaluated, at a root of order m, from their remainders
     modulo C_m (``_mod_cyclotomic``).  The division p = q * C_m + r is exact
@@ -252,7 +260,7 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     the rounding differs from Horner over the full degree-N rung.  For a
     single-order spec the remainders are the rungs themselves.  A root
     where either value is exactly zero (an order-1 or order-2 remainder is
-    a constant) fails with infinite residuals and NaN masses.
+    a constant) fails with an infinite residual and NaN masses.
 
     In double precision each remainder is evaluated by Horner's rule.  With
     `digits`, r = C / E (integer numerators C_k, denominator E) is summed
@@ -264,30 +272,23 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
     Each table entry is within one unit of 2^b e^{2 pi i j/m} per part, so
     each part is within ||C||_1 / E * 2^-b = ||r||_1 * 2^-b of r(z_s),
     against about 2 deg(r) ||r||_1 2^-prec for Horner.  The bound is
-    absolute: where r(z_s) cancels far below ||r||_1, the residuals grow by
-    that factor.  Write d = C'(z_s) = (dx + i dy) / q_d and p = Phi_N(z_s) =
-    (px + i py) / q_p for those sums, h_N = hn / hd, A + iB = (dx - i dy)(px
-    + i py), S = A^2 + B^2, T = dx^2 + dy^2 and Q = q_d q_p.  Then
-    w = hn Q (A - iB) / (hd S) and tw = q_d (A + iB) / (q_p T), and each
-    residual is an exact rational function of the sums, rounded once:
+    absolute: where r(z_s) cancels far below ||r||_1, the residual grows by
+    that factor.  Write d = (dx + i dy) / q_d and p = (px + i py) / q_p for
+    those sums, h_N = hn / hd, A + iB = (dx - i dy)(px + i py), S = A^2 + B^2,
+    T = dx^2 + dy^2 and Q = q_d q_p, so c = (A + iB) / Q.  Then
+    w = hn Q (A - iB) / (hd S), tw = q_d (A + iB) / (q_p T), tw > 0 exactly
+    when A > 0, and the residual is an exact rational function of the sums,
+    rounded once:
 
-        equal_mass      |(N+1) hn Q (A - iB) - hd S| / (hd S)
-        ramanujan_imag  hn Q |B| / (hd S)
-        sturmian_imag   q_d |B| / (q_p T)
-        two_route       |hd A - (N+1) hn Q| / ((N+1) hn Q)
-        product         0: w tw |d|^2 = h_N by the definitions of w and tw,
-                        for any nonzero d and p (doubles show rounding)
+        e = |(N+1) hn Q (A - iB) - hd S| / (hd S).
 
-    two_route is the real part of the equal-mass condition conj(d) p =
-    (N+1) h_N, tw is positive exactly when A > 0, and the mass sum is a
-    fixed-point sum at 2b bits, rounded once.  mpmath only builds the table
-    and rounds the reported root and masses, so the table is the only
-    approximation.
+    mpmath only builds the table and rounds the reported root and masses,
+    so the table is the only approximation.
 
-    Residuals are relative.  Raises WeightCheckFailureError (with the
-    report attached) when any residual exceeds tol.  Raises
-    InvalidModulusError, before any work, when digits is neither None nor
-    an int >= 1, or tol is not a real number (NaN and bool included).
+    Raises WeightCheckFailureError (with the report attached) when any
+    residual reaches tol.  Raises InvalidModulusError, before any work, when
+    digits is neither None nor an int >= 1, or tol is not a real number
+    (NaN and bool included).
     """
     if digits is not None and (
         isinstance(digits, bool) or not isinstance(digits, int) or digits < 1
@@ -303,7 +304,7 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
         import mpmath
 
         with mpmath.workdps(digits):
-            return _verify_weights_impl(tol, *_exact_rows(pair.spec, reduced, n1, *h_n))
+            return _verify_weights_impl(tol, _exact_rows(pair.spec, reduced, n1, *h_n))
     # Each remainder coefficient is converted once, correctly rounded (c / den
     # is, as complex(Fraction(c, den)) is): that is how the Horner step
     # `acc * z + c` converts a Fraction c, so where the remainder is the rung
@@ -312,7 +313,7 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
         m: [[complex(c / r.den) for c in r.ints] for r in rems] for m, rems in reduced.items()
     }
     h_num, equal_mass = h_n[0] / h_n[1], 1 / n1
-    rows, mass_sum = [], 0.0
+    rows = []
     for s, m in _root_angles(pair.spec):
         z = _numeric_root(s, m)
         d_val, p_val = (horner(c, z) for c in coeffs[m])
@@ -321,18 +322,8 @@ def verify_weights(pair: DualPair, tol: float = 1e-12, digits: int | None = None
             continue
         w = h_num / (d_val.conjugate() * p_val)
         tw = p_val / d_val
-        speed2 = (d_val * d_val.conjugate()).real
-        tw_sturm_route = h_num * n1 / speed2
-        residuals = (
-            abs(w - equal_mass) / equal_mass,
-            abs(w.imag),
-            abs(tw.imag),
-            abs(w * tw * speed2 - h_num) / h_num,
-            abs(tw.real - tw_sturm_route) / tw_sturm_route,
-        )
-        rows.append((z, w, tw, residuals, tw.real > 0))
-        mass_sum += tw.real
-    return _verify_weights_impl(tol, rows, abs(mass_sum - 1))
+        rows.append((z, w, tw, abs(w - equal_mass) / equal_mass, tw.real > 0))
+    return _verify_weights_impl(tol, rows)
 
 
 def _mod_cyclotomic(p: Poly, m: int) -> Poly:
@@ -392,9 +383,9 @@ def _unit_table(m: int, bits: int) -> tuple[list[int], list[int]]:
 
 
 def _exact_rows(spec: KroneckerSpec, reduced: dict, n1: int, hn: int, hd: int):
-    """The rows of ``verify_weights`` with digits, and the mass-sum residual,
-    by its formulas from the exact integer sums of the two remainders
-    modulo C_m in ``reduced[m]`` over ``_unit_table``."""
+    """The rows of ``verify_weights`` with digits, by its formulas from the
+    exact integer sums of the two remainders modulo C_m in ``reduced[m]``
+    over ``_unit_table``."""
     import mpmath
 
     def nearest(x, y, den):  # (x + iy) / den, each part rounded once
@@ -402,7 +393,7 @@ def _exact_rows(spec: KroneckerSpec, reduced: dict, n1: int, hn: int, hd: int):
 
     bits = mpmath.mp.prec + 16 + n1.bit_length()
     tables = {m: _unit_table(m, bits) for m in spec.orders}
-    rows, mass_sum, one = [], 0, 1 << 2 * bits
+    rows = []
     for s, m in _root_angles(spec):
         xs, ys = tables[m]
         idx = [s * k % m for k in range(max(len(r.ints) for r in reduced[m]))]
@@ -417,17 +408,10 @@ def _exact_rows(spec: KroneckerSpec, reduced: dict, n1: int, hn: int, hd: int):
         a, b = dx * px + dy * py, dx * py - dy * px
         s2, t, q = a * a + b * b, dx * dx + dy * dy, ed * ep << 2 * bits
         target = n1 * hn * q  # hd (A + iB) at equal masses
-        residuals = (
-            _sqrt_ratio((target * a - hd * s2) ** 2 + (target * b) ** 2, hd * s2),
-            _sqrt_ratio((hn * q * b) ** 2, hd * s2),
-            ed * abs(b) / (ep * t),
-            0.0,
-            abs(hd * a - target) / target,
-        )
+        residual = _sqrt_ratio((target * a - hd * s2) ** 2 + (target * b) ** 2, hd * s2)
         w, tw = nearest(hn * q * a, -hn * q * b, hd * s2), nearest(ed * a, ed * b, ep * t)
-        rows.append((z, w, tw, residuals, a > 0))
-        mass_sum += (ed * a << 2 * bits) // (ep * t)
-    return rows, abs(mass_sum - one) / one
+        rows.append((z, w, tw, residual, a > 0))
+    return rows
 
 
 def _sqrt_ratio(n: int, d: int) -> float:
@@ -453,34 +437,23 @@ def _mpf_nearest(p: int, q: int):
     return mpmath.mp.make_mpf(bits)
 
 
-_RESIDUALS = tuple(
-    f"{k}_residual" for k in ("equal_mass", "ramanujan_imag", "sturmian_imag", "product", "two_route")
-)
+_ROW_KEYS = ("root", "ramanujan_mass", "sturmian_mass", "equal_mass_residual", "sturmian_positive")
 # a wrong rung can be exactly 0 at an order-1 or order-2 root (its remainder
 # is a constant): no mass is defined there
-_NO_MASS = (float("nan"), float("nan"), (float("inf"),) * len(_RESIDUALS), False)
+_NO_MASS = (float("nan"), float("nan"), float("inf"), False)
 
 
-def _verify_weights_impl(tol: float, points, mass_sum_residual: float) -> WeightReport:
-    """The report of ``verify_weights`` from (z_s, w_s, tw_s, residuals,
-    positive) at every root and the residual of the Sturmian mass sum."""
-    report = WeightReport(tol=tol, sturmian_mass_sum_residual=mass_sum_residual)
-    worsts = []
-    for z, w, tw, residuals, positive in points:
-        # a Sturmian mass that is not positive counts as a residual of 1
-        worsts.append(max(residuals) if positive else max(*residuals, 1.0))
-        row = {"root": z, "ramanujan_mass": w, "sturmian_mass": tw, "sturmian_positive": positive}
-        row.update(zip(_RESIDUALS, residuals))
-        report.rows.append(row)
-
-    report.max_residual = worst = max(0.0, *worsts, mass_sum_residual)
+def _verify_weights_impl(tol: float, points) -> WeightReport:
+    """The report of ``verify_weights`` from the row values, in the order
+    of ``_ROW_KEYS``, at every root."""
+    report = WeightReport(tol=tol, rows=[dict(zip(_ROW_KEYS, point)) for point in points])
+    report.max_residual = worst = max(0.0, *(r["equal_mass_residual"] for r in report.rows))
     report.passed = worst < tol
     if not report.passed:
-        bad = [(i, r) for i, (r, w) in enumerate(zip(report.rows, worsts)) if w >= tol]
+        bad = [(i, r) for i, r in enumerate(report.rows) if r["equal_mass_residual"] >= tol]
         detail = "; ".join(
-            f"root {i}: z={r['root']}, residuals "
-            f"(equal={r['equal_mass_residual']:.3e}, product={r['product_residual']:.3e}, "
-            f"two-route={r['two_route_residual']:.3e}, positive={r['sturmian_positive']})"
+            f"root {i}: z={r['root']}, equal-mass residual {r['equal_mass_residual']:.3e}, "
+            f"positive={r['sturmian_positive']}"
             for i, r in bad[:5]
         )
         raise WeightCheckFailureError(

@@ -275,7 +275,6 @@ def test_criterion_7_weight_verification(master_pairs):
             assert report.passed
             for row in report.rows:
                 assert row["equal_mass_residual"] < 1e-10
-                assert row["product_residual"] < 1e-10
                 assert row["sturmian_positive"]
         box["detail"] = f", {len(pairs)} pairs"
 

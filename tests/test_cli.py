@@ -581,8 +581,6 @@ DUAL_CSV_COLUMNS = [
     "root_re",
     "root_im",
     "equal_mass_residual",
-    "product_residual",
-    "two_route_residual",
     "sturmian_positive",
 ]
 
@@ -606,9 +604,23 @@ def test_dual_table_lines_and_csv_columns(capsys):
         "tol",
         "passed",
         "max_residual",
-        "sturmian_mass_sum_residual",
         "roots_checked",
     ]
+
+
+def test_dual_digits_csv_has_the_double_runs_columns_and_roots(capsys):
+    argv = ("dual", "--kronecker", "1,2,5", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out_digits, _ = run_cli(capsys, *argv, "--digits", "30")
+    assert code == 0
+    double, digits = (list(csv.reader(io.StringIO(text))) for text in (out, out_digits))
+    assert digits[0] == double[0] == DUAL_CSV_COLUMNS
+    assert len(digits) == len(double) == 7
+    for (_, re_, im, residual, positive), coarse in zip(digits[1:], double[1:]):
+        assert abs(float(re_) - float(coarse[1])) <= 1e-15
+        assert abs(float(im) - float(coarse[2])) <= 1e-15
+        assert float(residual) < 1e-30 and positive == "True"
 
 
 @pytest.mark.parametrize(

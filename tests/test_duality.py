@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -366,7 +367,7 @@ def test_verify_weights_examples():
         assert abs(row["sturmian_mass"] - 0.5) < 1e-14
 
     report123 = verify_weights(build_dual_pair(KroneckerSpec([1, 2, 3])), tol=1e-12)
-    assert all(r["product_residual"] < 1e-12 for r in report123.rows)
+    assert all(r["sturmian_positive"] for r in report123.rows)
 
 
 def test_verify_weights_high_precision():
@@ -388,7 +389,8 @@ def test_verify_weights_failure_carries_report():
 
 def _full_horner_rows(pair):
     """The weight rows in double precision by Horner over the full degree-N
-    rungs at every root: the evaluation the reduction replaces."""
+    rungs at every root: the evaluation the reduction replaces.  Each row
+    has the keys ``verify_weights`` reports."""
     n1 = pair.charpoly.degree
     deriv = [complex(c) for c in pair.charpoly.derivative().coeffs]
     phi_n = [complex(c) for c in pair.ramanujan.phis[n1 - 1].coeffs]
@@ -399,19 +401,13 @@ def _full_horner_rows(pair):
         d_val, p_val = horner(deriv, z), horner(phi_n, z)
         w = h_num / (d_val.conjugate() * p_val)
         tw = p_val / d_val
-        speed2 = (d_val * d_val.conjugate()).real
-        tw_sturm_route = h_num * n1 / speed2
         rows.append(
             {
                 "root": z,
                 "ramanujan_mass": w,
                 "sturmian_mass": tw,
                 "equal_mass_residual": float(abs(w - equal_mass) / equal_mass),
-                "ramanujan_imag_residual": float(abs(w.imag)),
-                "sturmian_imag_residual": float(abs(tw.imag)),
                 "sturmian_positive": tw.real > 0,
-                "product_residual": float(abs(w * tw * speed2 - h_num) / h_num),
-                "two_route_residual": float(abs(tw.real - tw_sturm_route) / tw_sturm_route),
             }
         )
     return rows
@@ -527,7 +523,7 @@ def test_phi_n_vanishing_at_a_root_is_a_failing_row(digits):
     assert len(report.rows) == 4 and not report.passed
     at_minus_one = report.rows[1]
     assert at_minus_one["sturmian_positive"] is False
-    assert at_minus_one["product_residual"] == float("inf")
+    assert at_minus_one["equal_mass_residual"] == float("inf")
 
 
 def test_a_mass_past_the_float_range_is_an_infinite_residual():
@@ -598,54 +594,58 @@ def _within_an_ulp(value: float, square: F) -> bool:
     return lo * lo <= square <= hi * hi
 
 
-@pytest.mark.parametrize("orders", [[1, 2, 5], [7, 11, 13, 17, 19, 23, 29, 31], [61]])
-def test_digits_residuals_are_the_exact_values_rounded_once(orders):
+# complex rationals as (re, im) pairs of Fractions
+def _cmul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _cdiv(u, v):
+    norm = v[0] ** 2 + v[1] ** 2
+    return _cmul(u, (v[0] / norm, -v[1] / norm))
+
+
+def _exact_weight_values(pair, digits):
+    """(d, w, tw) at every root, in the order of the report's rows, as
+    exact complex rationals: d = C'(z_s) and p = Phi_N(z_s) are the sums of
+    the remainders modulo C_m (by ``Poly.divmod``) against ``_unit_table``
+    at the bits ``verify_weights`` takes for ``digits``, w = h_N / (conj(d) p)
+    and tw = p / d."""
     import mpmath
 
     from ramanujan_popuc.duality import _root_angles, _unit_table
 
-    pair = build_dual_pair(KroneckerSpec(orders))
-    report = verify_weights(pair, tol=float("inf"), digits=30)
     n1 = pair.charpoly.degree
-    with mpmath.workdps(30):
+    with mpmath.workdps(digits):
         bits = mpmath.mp.prec + 16 + n1.bit_length()
     h = pair.ramanujan.h[-1]
     rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
-
-    # complex rationals as (re, im) pairs of Fractions
-    def mul(u, v):
-        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
-
-    def div(u, v):
-        norm = v[0] ** 2 + v[1] ** 2
-        return mul(u, (v[0] / norm, -v[1] / norm))
-
-    mass_sum = F(0)
-    for row, (s, m) in zip(report.rows, _root_angles(pair.spec), strict=True):
-        xs, ys = _unit_table(m, bits)
+    tables = {m: _unit_table(m, bits) for m in pair.spec.orders}
+    rems = {m: [rung.divmod(cyclotomic(m))[1] for rung in rungs] for m in pair.spec.orders}
+    values = []
+    for s, m in _root_angles(pair.spec):
+        xs, ys = tables[m]
         d, p = (
             (
                 F(sum(c * xs[s * k % m] for k, c in enumerate(r.ints)), r.den << bits),
                 F(sum(c * ys[s * k % m] for k, c in enumerate(r.ints)), r.den << bits),
             )
-            for r in (rung.divmod(cyclotomic(m))[1] for rung in rungs)
+            for r in rems[m]
         )
-        w = div((h, F(0)), mul((d[0], -d[1]), p))
-        tw = div(p, d)
-        speed2 = d[0] ** 2 + d[1] ** 2
-        tw_sturm_route = h * n1 / speed2
-        assert row["product_residual"] == 0.0
-        exact = {
-            "equal_mass": ((n1 * w[0] - 1) ** 2 + (n1 * w[1]) ** 2),
-            "ramanujan_imag": w[1] ** 2,
-            "sturmian_imag": tw[1] ** 2,
-            "two_route": ((tw[0] - tw_sturm_route) / tw_sturm_route) ** 2,
-        }
-        for name, square in exact.items():
-            assert _within_an_ulp(row[f"{name}_residual"], square), (name, s, m)
+        values.append((d, _cdiv((h, F(0)), _cmul((d[0], -d[1]), p)), _cdiv(p, d)))
+    return values
+
+
+@pytest.mark.parametrize("orders", [[1, 2, 5], [7, 11, 13, 17, 19, 23, 29, 31], [61]])
+def test_digits_residuals_are_the_exact_values_rounded_once(orders):
+    pair = build_dual_pair(KroneckerSpec(orders))
+    report = verify_weights(pair, tol=float("inf"), digits=30)
+    n1 = pair.charpoly.degree
+    for i, (row, (_, w, tw)) in enumerate(
+        zip(report.rows, _exact_weight_values(pair, 30), strict=True)
+    ):
+        square = (n1 * w[0] - 1) ** 2 + (n1 * w[1]) ** 2
+        assert _within_an_ulp(row["equal_mass_residual"], square), i
         assert row["sturmian_positive"] is (tw[0] > 0)
-        mass_sum += tw[0]
-    assert _within_an_ulp(report.sturmian_mass_sum_residual, (mass_sum - 1) ** 2)
 
 
 def test_folding_modulo_z_m_minus_1_keeps_the_remainder_modulo_c_m():
@@ -662,7 +662,10 @@ def test_folding_modulo_z_m_minus_1_keeps_the_remainder_modulo_c_m():
 def _divmod_horner_weight_rows(pair):
     """The rows of ``verify_weights`` in double precision by its first
     formula: each rung's remainder from ``Poly.divmod`` by C_m, converted
-    coefficient by coefficient and summed by Horner at every root."""
+    coefficient by coefficient and summed by Horner at every root.  Beside
+    the equal-mass residual, each row carries the four residuals it bounds
+    (``verify_weights``): |Im w|, |Im tw|, the product relation
+    w tw |d|^2 = h_N and the two routes to the Sturmian mass."""
     n1 = pair.charpoly.degree
     rungs = (pair.charpoly.derivative(), pair.ramanujan.phis[n1 - 1])
     h_n = pair.ramanujan._norms[-1]
@@ -707,4 +710,95 @@ def test_double_precision_weight_rows_are_bit_identical_to_divmod_and_horner(ord
     finite float.  M = 61 fails the default tolerance, so none is set."""
     pair = build_dual_pair(KroneckerSpec(orders))
     rows = verify_weights(pair, tol=math.inf).rows
-    assert repr(rows) == repr(_divmod_horner_weight_rows(pair))
+    reference = [{k: r[k] for k in WEIGHT_ROW_KEYS} for r in _divmod_horner_weight_rows(pair)]
+    assert repr(rows) == repr(reference)
+
+
+WEIGHT_ROW_KEYS = ("root", "ramanujan_mass", "sturmian_mass", "equal_mass_residual",
+                   "sturmian_positive")
+EQUAL_POWER_SPECS = [[5], [13], [61], [1, 2, 3], [1, 2, 5], [3, 5, 7], [1, 6, 13, 15],
+                     [7, 11, 13, 17, 19, 23, 29, 31]]
+
+
+def _perturbed_pairs(orders):
+    """The pair of ``orders`` with one or two interior coefficients of the
+    Ramanujan ladder's Phi_N moved by +-k 10^-j, k in 1..9, once for each
+    j = 0..16 (seeded).  Phi_N stays monic of degree N."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    n1 = pair.charpoly.degree
+    rng = random.Random(str(orders))
+    for j in range(17):
+        coeffs = list(pair.ramanujan.phis[n1 - 1].coeffs)
+        for i in rng.sample(range(1, n1 - 1), rng.randint(1, 2)):
+            coeffs[i] += rng.choice((-1, 1)) * F(rng.randint(1, 9), 10**j)
+        yield _with_phi_n(pair, Poly(coeffs))
+
+
+def _report_at_any_residual(pair, digits=None):
+    try:
+        return verify_weights(pair, tol=math.inf, digits=digits)
+    except WeightCheckFailureError as err:  # an infinite residual fails even tol = inf
+        return err.report
+
+
+@pytest.mark.parametrize("orders", EQUAL_POWER_SPECS, ids=lambda o: ",".join(map(str, o)))
+def test_equal_mass_residual_bounds_the_dropped_residuals_in_doubles(orders):
+    """Fault injection: on every perturbed Phi_N, the four double-precision
+    residuals of ``_divmod_horner_weight_rows`` beside the equal-mass one e
+    stay within the bounds e sets (``verify_weights``), up to a few ulps,
+    and a non-positive Sturmian mass comes with e > 1."""
+    eps = sys.float_info.epsilon
+    for pair in _perturbed_pairs(orders):
+        n1 = pair.charpoly.degree
+        rows = _report_at_any_residual(pair).rows
+        for row, ref in zip(rows, _divmod_horner_weight_rows(pair), strict=True):
+            e = row["equal_mass_residual"]
+            assert e == ref["equal_mass_residual"]
+            g = e + 64 * eps * (1 + e)
+            assert ref["ramanujan_imag_residual"] <= g / n1
+            assert ref["sturmian_imag_residual"] <= g * abs(ref["sturmian_mass"])
+            assert g >= 1 or ref["two_route_residual"] <= g / (1 - g)
+            assert ref["product_residual"] <= 64 * eps
+            assert ref["sturmian_positive"] or g > 1
+
+
+@pytest.mark.parametrize("orders", EQUAL_POWER_SPECS, ids=lambda o: ",".join(map(str, o)))
+def test_equal_mass_residual_bounds_the_dropped_residuals_exactly(orders):
+    """The same bounds with no slack at 30 digits, on the exact values of
+    d, p, w and tw from the table sums, of which the reported e is the
+    square root rounded once."""
+    for pair in _perturbed_pairs(orders):
+        n1 = pair.charpoly.degree
+        h = pair.ramanujan.h[-1]
+        rows = _report_at_any_residual(pair, digits=30).rows
+        for row, (d, w, tw) in zip(rows, _exact_weight_values(pair, 30), strict=True):
+            e2 = (n1 * w[0] - 1) ** 2 + (n1 * w[1]) ** 2
+            assert _within_an_ulp(row["equal_mass_residual"], e2)
+            assert (n1 * w[1]) ** 2 <= e2  # |Im w| <= e / (N+1)
+            assert tw[1] ** 2 <= e2 * (tw[0] ** 2 + tw[1] ** 2)  # |Im tw| <= e |tw|
+            speed2 = d[0] ** 2 + d[1] ** 2
+            route = h * n1 / speed2  # the Sturmian ladder's own mass
+            two_route = abs(tw[0] - route) / route
+            # two_route <= e / (1 - e), squared and cleared of the division
+            assert e2 >= 1 or two_route**2 <= e2 * (1 + two_route) ** 2
+            assert _cmul(_cmul(w, tw), (speed2, F(0))) == (h, F(0))
+            assert tw[0] > 0 or e2 > 1
+
+
+@pytest.mark.parametrize("orders", [[13], [1, 2, 5], [7, 11, 13, 17, 19, 23, 29, 31]])
+def test_sturmian_masses_of_a_wrong_phi_n_still_sum_to_one(orders):
+    """By Lagrange interpolation, sum_s Phi_N(z_s) / C'(z_s) = [z^N] Phi_N
+    for any Phi_N of degree at most N, so a monic Phi_N that fails the
+    equal-mass check still has Sturmian masses summing to 1: a mass-sum
+    residual checks nothing."""
+    import mpmath
+
+    pair = build_dual_pair(KroneckerSpec(orders))
+    n1 = pair.charpoly.degree
+    coeffs = list(pair.ramanujan.phis[n1 - 1].coeffs)
+    coeffs[n1 // 2] += F(1, 10**6)
+    with pytest.raises(WeightCheckFailureError) as err:
+        verify_weights(_with_phi_n(pair, Poly(coeffs)), tol=1e-12, digits=80)
+    with mpmath.workdps(80):
+        total = mpmath.fsum(row["sturmian_mass"] for row in err.value.report.rows)
+        assert abs(total - 1) < mpmath.mpf("1e-70")
