@@ -42,11 +42,8 @@ from .errors import (
 from .opuc_core import (
     PopucSystem,
     VerblunskySequence,
-    _check_closed_minors,
-    _check_constant_terms,
-    _check_rungs_by_determinants,
+    _proven_ladder,
     _text,
-    _verify_annihilation,
     inverse_szego_step,
     moments_from_kronecker,
     moments_from_ladder,
@@ -77,10 +74,8 @@ def sturmian_from_charpoly(
     kronecker_poly output).  Anything else raises InvalidCharacteristicError
     here, its subclass UnimodularConstantTermError from the descent, or
     InteriorCoefficientOutOfRangeError, a SingularMomentError, from
-    VerblunskySequence when some |a_k| >= 1 below N.
-    ``_check_constant_terms`` and ``_verify_annihilation`` on the moments
-    it implies prove it and its minors; paranoid=True adds the elimination
-    of ``popuc_from_moments``.
+    VerblunskySequence when some |a_k| >= 1 below N.  ``_proven_ladder``
+    proves it on the moments it implies, as it does ``popuc_from_moments``.
     """
     n1 = charpoly.degree  # N + 1
     if n1 < 1 or not charpoly.is_monic:
@@ -105,19 +100,9 @@ def sturmian_from_charpoly(
         coeffs.append(a_k)
     ladder.reverse()
     coeffs.reverse()
-
-    system = PopucSystem(
-        family=family or "sturmian",
-        moments=moments_from_ladder(ladder, provenance=family or "sturmian"),
-        phis=tuple(ladder),
-        verblunsky=VerblunskySequence(tuple(coeffs)),
-    )
-    _check_constant_terms(coeffs, ladder, system.family)
-    _verify_annihilation(system.moments, ladder)
-    if paranoid:
-        found = _check_rungs_by_determinants(system.moments, ladder, "descent")
-        _check_closed_minors(system, *found, "Toeplitz minors")
-    return system
+    family = family or "sturmian"
+    moments = moments_from_ladder(ladder, provenance=family)
+    return _proven_ladder(family, moments, ladder, coeffs, "descent" if paranoid else None)
 
 
 def ramanujan_from_charpoly(spec: KroneckerSpec, paranoid: bool = False) -> PopucSystem:

@@ -722,6 +722,36 @@ def _check_rungs_by_determinants(m: MomentSequence, phis, route: str) -> tuple[l
     return [sum(map(mul, row, ints[n::-1])) for n, row in enumerate(rows)], scale
 
 
+def _proven_ladder(family, moments, phis, a, route=None, norms=None) -> PopucSystem:
+    """Prove a finished ladder Phi_0..Phi_{N+1}, a_0..a_N, the one proof
+    both builders run.  In order: ``_check_constant_terms``; |a_N| = 1; the
+    system, with `norms` (the Levinson loop's h_0..h_N) as its ``_norms``;
+    ``_verify_annihilation`` and ``_check_moments_past_terminal``, which
+    prove every rung and minor (see there); with a `route`, every rung
+    against the bordered-determinant formula, in one O(N^3) elimination
+    whose pivots close the minors (``_check_closed_minors``).  The first
+    two run before the system is built.  From moments, a rung off its own
+    a_n is then reported as the recurrence's fault, not the moments'.  In
+    the descent both hold by construction, so the order changes no outcome:
+    each a_n is read off its rung as -Phi_{n+1}(0), and a_N = -C(0) after
+    the builder checked |C(0)| = 1."""
+    _check_constant_terms(a, phis, family)
+    if abs(a[-1].numerator) != a[-1].denominator:
+        raise TerminalMassError(
+            f"|a_{len(a) - 1}| = {_text(abs(a[-1]))} != 1: moments do not describe "
+            f"an {len(a)}-point measure ({moments.provenance})"
+        )
+    system = PopucSystem(family, moments, tuple(phis), VerblunskySequence(tuple(a)))
+    if norms is not None:
+        system.__dict__["_norms"] = norms
+    _verify_annihilation(moments, phis)
+    _check_moments_past_terminal(moments, phis[-1])
+    if route:
+        found = _check_rungs_by_determinants(moments, phis, route)
+        _check_closed_minors(system, *found, "Toeplitz minors")
+    return system
+
+
 def popuc_from_moments(
     m: MomentSequence,
     n_plus_1: int,
@@ -733,13 +763,9 @@ def popuc_from_moments(
     A Levinson-style update reads a_n = <z Phi_n, 1> / <Phi_n^*, 1>, whose
     divisor sum_k C_k S_{n-k} is D E h_n for Phi_n = C / E, S_t = D sigma_t.
     The loop steps h_{n+1} = h_n (1 - a_n^2) (the system's ``_norms``):
-    h_{n+1} > 0, |a_n| < 1, for n < N keeps the divisor positive.  Then
-    ``_check_constant_terms``, |a_N| = 1 and ``_verify_annihilation`` prove
-    every minor (see there).  The first runs before the |a_N| test, so a
-    rung off its own a_n is reported as the recurrence's fault, not the
-    moments'.  paranoid=True also matches every rung with the
-    bordered-determinant formula, in one O(N^3) elimination whose pivots
-    close the minors (``_check_closed_minors``).
+    h_{n+1} > 0, |a_n| < 1, for n < N keeps the divisor positive.
+    ``_proven_ladder`` then proves the ladder and every minor;
+    paranoid=True adds its bordered-determinant check.
 
     Raises SingularMomentError when some Delta_k <= 0 for k <= N+1, and
     TerminalMassError when |a_N| != 1 or a moment past sigma_{N+1} is not
@@ -767,27 +793,8 @@ def popuc_from_moments(
                 delta = list(accumulate(map(Fraction, *zip(*h)), mul))
                 raise _not_positive(n + 2, delta[-1], m)
         phis.append(szego_step(phis[n], a[n]))
-    family = family or m.provenance
-    _check_constant_terms(a, phis, family)
-    if abs(a[-1].numerator) != a[-1].denominator:
-        raise TerminalMassError(
-            f"|a_{n_terminal - 1}| = {_text(abs(a[-1]))} != 1: moments do not describe "
-            f"an {n_terminal}-point measure ({m.provenance})"
-        )
-
-    system = PopucSystem(
-        family=family,
-        moments=m,
-        phis=tuple(phis),
-        verblunsky=VerblunskySequence(tuple(a)),
-    )
-    system.__dict__["_norms"] = tuple(h)
-    _verify_annihilation(m, phis)
-    _check_moments_past_terminal(m, phis[-1])
-    if paranoid:
-        found = _check_rungs_by_determinants(m, phis, "recurrence")
-        _check_closed_minors(system, *found, "Toeplitz minors")
-    return system
+    route = "recurrence" if paranoid else None
+    return _proven_ladder(family or m.provenance, m, phis, a, route, tuple(h))
 
 
 def moments_from_ladder(phis: list[Poly], provenance: str) -> MomentSequence:

@@ -869,14 +869,14 @@ def test_recurrence_check_names_an_annihilating_rung_off_the_recurrence():
 
 
 @pytest.mark.parametrize(
-    "namespace, build",
+    "build",
     [
-        (opuc_core, lambda: popuc_from_moments(moments_from_cyclotomic(7), 6, paranoid=True)),
-        (duality, lambda: sturmian_from_charpoly(anti_cyclotomic(10), paranoid=True)),
+        lambda: popuc_from_moments(moments_from_cyclotomic(7), 6, paranoid=True),
+        lambda: sturmian_from_charpoly(anti_cyclotomic(10), paranoid=True),
     ],
     ids=["popuc_from_moments M=7", "sturmian_from_charpoly anti_cyclotomic(10)"],
 )
-def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build):
+def test_delta_check_catches_every_perturbed_minor(monkeypatch, build):
     """Every Delta_k, k <= N+1, is matched against the norms, and both
     sides close with Delta_{N+2}, which must be 0.  Under paranoid=True
     both sides check the integer pivots P_k = D^k Delta_k of their one
@@ -884,7 +884,7 @@ def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build
     Bareiss oracle confirms, each moved by one unit up and down in turn."""
     system = build()
     n2 = system.n_max + 2
-    pivots_of = namespace._check_rungs_by_determinants
+    pivots_of = opuc_core._check_rungs_by_determinants
     pivots, d = pivots_of(system.moments, system.phis, "test")
     minors = [F(p, d**k) for k, p in enumerate(pivots, 1)]
     assert minors == [toeplitz_det(system.moments, k) for k in range(1, n2 + 1)]
@@ -896,7 +896,7 @@ def test_delta_check_catches_every_perturbed_minor(monkeypatch, namespace, build
                 pivots[k - 1] += unit
                 return pivots, scale
 
-            monkeypatch.setattr(namespace, "_check_rungs_by_determinants", bumped)
+            monkeypatch.setattr(opuc_core, "_check_rungs_by_determinants", bumped)
             step = F(unit, d**k)  # one unit of P_k in Delta_k
             if k < n2:
                 own = system.delta[k - 1]
@@ -939,7 +939,7 @@ def test_sturmian_last_moment_is_proven_by_the_closing_minor(monkeypatch, orders
         with pytest.raises(InternalInconsistencyError) as err:
             build_dual_pair(spec, paranoid=paranoid)
         assert str(err.value) == f"<Phi_{n1}, z^0> = {units[-1]} != 0 (sturmian:{spec.label})"
-    monkeypatch.setattr(duality, "_verify_annihilation", lambda m, phis: None)
+    monkeypatch.setattr(opuc_core, "_verify_annihilation", lambda m, phis: None)
     with pytest.raises(InternalInconsistencyError, match=f"^rung {n1}: descent gives "):
         build_dual_pair(spec, paranoid=True)
     delta = toeplitz_det(seen[0], n1 + 1)
@@ -1023,6 +1023,25 @@ def test_the_default_build_runs_no_schur_sweep(monkeypatch):
                              ([1, 2, 5], True), ([31], True)):
         pair = build_dual_pair(KroneckerSpec(orders), paranoid=paranoid)
         assert pair.ramanujan.terminal == pair.sturmian.terminal
+
+
+def test_both_builders_prove_through_one_door(monkeypatch):
+    """Both sides of a paranoid dual pair run the annihilation check and
+    the bordered elimination through ``opuc_core._proven_ladder``, once
+    per side: ``duality`` binds no proof helper of its own to call."""
+    calls = {}
+    for name in ("_verify_annihilation", "_check_rungs_by_determinants"):
+
+        def counted(*args, check=getattr(opuc_core, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return check(*args)
+
+        monkeypatch.setattr(opuc_core, name, counted)
+    build_dual_pair(KroneckerSpec([1, 2, 5]), paranoid=True)
+    assert calls == {"_verify_annihilation": 2, "_check_rungs_by_determinants": 2}
+    for name in ("_check_closed_minors", "_check_constant_terms",
+                 "_check_rungs_by_determinants", "_verify_annihilation"):
+        assert not hasattr(duality, name), name
 
 
 def test_loader_and_builders_share_the_constant_term_check():
