@@ -315,6 +315,29 @@ def _moment_row(sym: list[int], mid: int, g: Poly, count: int) -> list[int]:
     return [sum(map(mul, g.ints, sym[mid - k : mid - k + n])) for k in range(count)]
 
 
+def _row_from_below(sym: list[int], mid: int, f: Poly, row: list[int], g: Poly) -> list[int]:
+    """``_moment_row(sym, mid, g, d + 2)`` from row = ``_moment_row(sym, mid,
+    f, d + 1)``, d = deg f = deg g - 1 < mid, in O(d) products plus O(d) per
+    nonzero coefficient of R below.  With S_t = sym[mid + t] and rho(P)[k] =
+    sum_b P_b S_{k-b}: rho is linear in P; the shift gives rho(zF)[k] =
+    rho(F)[k-1]; the reflection F^*_b = F_{d-b} and S_{-t} = S_t give
+    rho(F^*)[k] = rho(F)[d-k].  So for F = f.ints, G = g.ints and
+    R = lc(F) G - lc(G) zF - G(0) F^*,
+        lc(F) rho(G)[k] = lc(G) rho(F)[k-1] + G(0) rho(F)[d-k] + rho(R)[k]
+    for 0 <= k <= d + 1, rho(F)[-1] being one extra sum.  R has no z^{d+1}
+    term (lc(F) lc(G) cancels) nor constant term (F^*(0) = lc(F)), and R = 0
+    for a Szego step g = c (z f - a f^*).  rho(R) is summed term by term, so
+    every input stays exact; rho(G)[k] is an integer, so / lc(F) is exact."""
+    F, G, d = f.ints, g.ints, len(f.ints) - 1
+    ext = [sum(map(mul, F, sym[mid + 1 : mid + d + 2])), *row]  # ext[k] = rho(F)[k-1]
+    lf, lg, g0 = F[-1], G[-1], G[0]
+    w = [lg * x + g0 * y for x, y in zip(ext, reversed(ext))]
+    for b, c in enumerate(lf * y - lg * x - g0 * s for y, x, s in zip(G, (0, *F), (*F[::-1], 0))):
+        if c:  # R_b, adding R_b * S_{k-b} = R_b * sym[mid - b + k]
+            w = [x + c * s for x, s in zip(w, sym[mid - b : mid - b + d + 2])]
+    return [x // lf for x in w]
+
+
 def inner_product(m: MomentSequence, f: Poly, g: Poly) -> Fraction:
     """The sesquilinear form of the measure realized through its moments:
     <f, g> = sum_{j,k} f_j * g_k * sigma_{j-k}.
@@ -821,24 +844,35 @@ def gram_matrix(m: MomentSequence, polys: list[Poly]) -> list[list[Fraction]]:
     Real symmetric moments and real coefficients make the matrix
     symmetric.  In ascending degree, for each p_j = G / E_j and moments
     over D, the integers w[k] = D * E_j * <z^k, p_j>, k <= deg p_j, are
-    formed once (``_moment_row``); every p_i = F / E_i visited so far gets
-    <p_i, p_j> = sum_k F_k w[k] / (D E_i E_j) at (i, j) and (j, i).  For
-    N + 1 rungs that is about N^3/3 + N^3/6 products against N^3 for
-    P * S * P^T, and (N + 1)^2 / 2 Fractions; a zero entry is one shared
-    Fraction(0), with no gcd."""
+    formed once: from the row of the polynomial just before p_j when that
+    one is nonzero of degree deg p_j - 1 (``_row_from_below``, O(N) for a
+    Szego step), else by ``_moment_row``.  Every p_i = F / E_i visited so far
+    gets <p_i, p_j> = sum_k F_k w[k] / (D E_i E_j) at (i, j) and (j, i),
+    the sum starting at w's first nonzero entry, so a rung of lower degree
+    than p_j in a ladder gets its 0 with no product.  A ladder's whole
+    matrix costs O(N^2) products; other inputs cost up to N^3/6 in the dot
+    products.  A zero entry is one shared Fraction(0), with no gcd."""
     deg = max((p.degree for p in polys), default=0)
     if deg > m.max_index:
-        raise InsufficientMomentsError("Gram matrix needs moments up to the max degree")
+        raise InsufficientMomentsError(
+            f"Gram matrix of degree {deg} needs moments up to index {deg}, has up to {m.max_index}"
+        )
     sym, scale = _scaled_moments(m, deg + 1)
     zero = Fraction(0)
     gram = [[zero] * len(polys) for _ in polys]
     seen: list[int] = []
+    below = w = None
     for j in sorted(range(len(polys)), key=lambda i: polys[i].degree):
         p_j = polys[j]
-        w = _moment_row(sym, deg, p_j, len(p_j.ints))
+        if below and below.degree == p_j.degree - 1:
+            w = _row_from_below(sym, deg, below, w, p_j)
+        else:
+            w = _moment_row(sym, deg, p_j, len(p_j.ints))
+        head = next((k for k, x in enumerate(w) if x), len(w))
+        below, tail = p_j, w[head:]
         seen.append(j)
         for i in seen:
-            acc = sum(map(mul, polys[i].ints, w))
+            acc = sum(map(mul, polys[i].ints[head:], tail))
             if acc:
                 gram[i][j] = gram[j][i] = Fraction(acc, scale * polys[i].den * p_j.den)
     return gram

@@ -532,6 +532,73 @@ def test_gram_matrix_sees_a_perturbed_rung_in_its_row_and_column(m, count):
             assert g == gram_reference(m, tampered)
 
 
+@st.composite
+def szego_chains(draw):
+    """A Szego chain Phi_0..Phi_n with rational |a_k| < 1, on the moments the
+    chain itself implies or on random ones, then any of: every polynomial
+    scaled by a nonzero rational (negative ones included), a rational added
+    to one coefficient, zero polynomials interleaved, entries duplicated,
+    the list shuffled.  Scaling keeps the remainder against the rung below
+    at R = 0 with any nonzero leading coefficients; a moved coefficient
+    leaves R != 0 or a degree gap; zeros, duplicates and shuffles put a
+    zero, an equal degree or a gap before a rung."""
+    phis = [Poly.one()]
+    for a in draw(st.lists(rationals.filter(lambda a: abs(a) < 1), max_size=7)):
+        phis.append(szego_step(phis[-1], a))
+    if draw(st.booleans()):
+        m = moments_from_ladder(phis, "chain")
+    else:
+        sigma = draw(st.lists(rationals, min_size=len(phis) - 1, max_size=len(phis) - 1))
+        m = MomentSequence(sigma=(draw(rationals.filter(lambda s: s > 0)), *sigma))
+    polys = list(phis)
+    if draw(st.booleans()):
+        polys = [p * draw(rationals.filter(bool)) for p in polys]
+    if draw(st.booleans()):
+        n = draw(st.integers(0, len(polys) - 1))
+        coeffs = list(polys[n].coeffs)
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(rationals)
+        polys[n] = Poly(coeffs)
+    for _ in range(draw(st.integers(0, 2))):
+        polys.insert(draw(st.integers(0, len(polys))), Poly.zero())
+    for _ in range(draw(st.integers(0, 2))):
+        polys.append(draw(st.sampled_from(polys)))
+    if draw(st.booleans()):
+        polys = draw(st.permutations(polys))
+    return m, polys
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=szego_chains())
+def test_gram_matrix_rows_from_the_rung_below_match_fraction_reference(inputs):
+    m, polys = inputs
+    assert gram_matrix(m, polys) == gram_reference(m, polys)
+
+
+@pytest.mark.parametrize("orders", [(43,), (10, 15, 25, 34)], ids=["M=43", "orders=10,15,25,34"])
+def test_gram_matrix_of_a_ladder_sums_one_moment_row(monkeypatch, orders):
+    """Every rung's moment row comes from the rung below, so over
+    Phi_0..Phi_N only the degree-0 rung sums a row from the moments."""
+    pair = build_dual_pair(KroneckerSpec(orders))
+    calls = []
+    row = opuc_core._moment_row
+    monkeypatch.setattr(opuc_core, "_moment_row", lambda *args: calls.append(args[2]) or row(*args))
+    for system in (pair.ramanujan, pair.sturmian):
+        calls.clear()
+        n = system.n_max + 1
+        g = gram_matrix(system.moments, list(system.phis[:-1]))
+        assert g == [[system.h[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        assert calls == [Poly.one()], system.family
+
+
+def test_gram_matrix_names_the_degree_and_the_last_moment():
+    m = MomentSequence(sigma=(1, F(1, 2), F(1, 3)))
+    with pytest.raises(
+        InsufficientMomentsError,
+        match=r"^Gram matrix of degree 3 needs moments up to index 3, has up to 2$",
+    ):
+        gram_matrix(m, [Poly.one(), Poly.monomial(3), Poly.monomial(1)])
+
+
 # -- recurrence steps ---------------------------------------------------------
 
 
